@@ -137,9 +137,7 @@ def cmd_analyze(args):
 
     def dominant_section():
         count = args.k if args.k is not None else min(ss.n, 2 * ss.m)
-        found = dominant_poles(
-            ss, count, tau_conv=tol.tau_conv, eps_sing=tol.eps_sing
-        )
+        found = dominant_poles(ss, count, eps_sing=tol.eps_sing)
         for pole in found:
             print(f"  {_fmt_complex(pole.value)}   dominance {pole.dominance:.6g}")
 
@@ -158,7 +156,6 @@ def _tolerances(args):
         ("tau_null", "tau_null"),
         ("tau_gap", "tau_gap"),
         ("eps_sing", "eps_sing"),
-        ("tau_conv", "tau_conv"),
         ("dominance_cutoff", "dominance_cutoff"),
         ("node_budget", "node_budget"),
     ):
@@ -335,8 +332,6 @@ def _add_tolerance_flags(sub, include_h2=True):
                      help=f"spectrum separation tolerance (default {d.tau_gap})")
     sub.add_argument("--eps-sing", dest="eps_sing", type=float, default=None,
                      help=f"singularity threshold (default {d.eps_sing})")
-    sub.add_argument("--tau-conv", dest="tau_conv", type=float, default=None,
-                     help=f"dominant pole convergence tolerance (default {d.tau_conv})")
     sub.add_argument("--dominance-cutoff", dest="dominance_cutoff", type=float,
                      default=None,
                      help=f"relative dominance cutoff (default {d.dominance_cutoff})")

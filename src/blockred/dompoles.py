@@ -1,11 +1,13 @@
-"""Dominant pole computation by subspace-accelerated Newton iteration.
+"""Dominant poles and modal decomposition from one dense eigensolve.
 
 A pole lambda of G(s) = C (sI - A)^-1 B + D with eigentriplet (lambda, x, y)
 of A carries the residue matrix R = (C x)(y^H B) / (y^H x); its dominance
-index is ||R||_2 / |Re lambda|.  The search Newton-iterates on the smallest
-eigenvalue of G(s)^-1, accelerated by two growing search spaces whose Ritz
-pairs supply the next shift, with converged poles deflated from new
-directions.
+index is ||R||_2 / |Re lambda|.  The state matrices met here are dense and
+small, so one eigendecomposition of A yields every pole with its residue at
+once: the ranking is exact, G(s) may have any number of inputs and outputs,
+and no iteration is involved that could fail to converge.  modal_form is that
+decomposition for any (a, b, c) triple; the reduction pipeline reads its
+diagonal blocks through it as well.
 """
 
 from dataclasses import dataclass
@@ -18,14 +20,9 @@ from .errors import (
     DegenerateEigenvector,
     DimensionMismatch,
     NoConvergence,
-    ShiftAtEigenvalue,
-    SingularTransfer,
+    NonDiagonalizableBlock,
 )
 from .metrics import as_state_space
-
-DEFAULT_TAU_CONV = 1e-8
-DEFAULT_MAX_OUTER = 200
-SUBSPACE_KEEP = 10
 
 
 @dataclass
@@ -35,6 +32,94 @@ class DominantPole:
     left: np.ndarray
     residue: np.ndarray
     dominance: float
+
+
+@dataclass
+class ModalForm:
+    """Eigendecomposition of a state matrix together with its input and output.
+
+    Mode i has eigenvalue values[i], unit right eigenvector right[:, i], input
+    row inputs[i] = y^H b / (y^H x) and output column outputs[:, i] = c x, so
+    c (sI - a)^-1 b is the sum over modes of outer(outputs[:, i], inputs[i]) /
+    (s - values[i]).  The input rows are the rows of inv(right) @ b, which
+    keeps the split exact on a repeated but diagonalizable eigenvalue, where
+    single left eigenvectors would not be paired with the right ones.
+    """
+
+    values: np.ndarray
+    right: np.ndarray
+    inputs: np.ndarray
+    outputs: np.ndarray
+    rows: np.ndarray  # inv(right); row i is y^H / (y^H x) for the left eigenvector y
+
+    def residue(self, i):
+        return np.outer(self.outputs[:, i], self.inputs[i])
+
+    def left(self, i):
+        """Unit left eigenvector of mode i."""
+        y = self.rows[i].conj()
+        return y / np.linalg.norm(y)
+
+    @property
+    def residue_norms(self):
+        """||residue||_2 per mode: a residue has rank one, so its 2-norm is the
+        product of the norms of its output column and input row."""
+        return np.linalg.norm(self.outputs, axis=0) * np.linalg.norm(self.inputs, axis=1)
+
+    @property
+    def dominance(self):
+        """||residue||_2 / |Re value| per mode; infinite on the imaginary axis."""
+        re = np.abs(self.values.real)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(re == 0.0, np.inf, self.residue_norms / re)
+
+
+def modal_form(a, b, c, eps_sing):
+    """Diagonalize a and carry b and c into its eigenbasis.
+
+    Raises NonDiagonalizableBlock when the eigenvector matrix has condition
+    at least 1/eps_sing, DegenerateEigenvector when the
+    left and right eigenvectors of a mode are near orthogonal, and
+    NoConvergence when the eigenvalue iteration itself fails.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    c = np.asarray(c)
+    n = a.shape[0]
+    if n == 0:
+        return ModalForm(
+            np.zeros(0, dtype=complex), np.zeros((0, 0)), np.zeros((0, b.shape[1])),
+            np.zeros((c.shape[0], 0)), np.zeros((0, 0)),
+        )
+    try:
+        values, right = scipy.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    cond = cond2(right)
+    if cond >= 1.0 / eps_sing:
+        raise NonDiagonalizableBlock(f"eigenvector matrix condition {cond:.3e}")
+    try:
+        rows = np.linalg.inv(right)
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableBlock("eigenvector matrix is singular") from exc
+    # unit vectors x and y have |y^H x| = 1 / ||row of inv(right)||
+    overlap = 1.0 / np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~(overlap > 1e-12))
+    if bad.size:
+        raise DegenerateEigenvector(
+            f"left/right eigenvectors at {complex(values[bad[0]]):.6g} are near orthogonal"
+        )
+    inputs, outputs = rows @ b, c @ right
+    if not any(np.iscomplexobj(x) for x in (a, b, c)):
+        # LAPACK returns exact conjugate eigenvector pairs; keep the rest of
+        # each pair exactly conjugate too, so that pair members tie exactly
+        partner = _conjugate_partners(values)
+        top = [i for i in partner if values[i].imag > 0.0]
+        low = [partner[i] for i in top]
+        rows[low] = rows[top].conj()
+        inputs[low] = inputs[top].conj()
+        outputs[:, low] = outputs[:, top].conj()
+    return ModalForm(values, right, inputs, outputs, rows)
 
 
 def residue_matrix(system, value, x, y):
@@ -61,276 +146,66 @@ def dominance_index(value, residue):
     return norm / re
 
 
+def _rank_key(dominance, rnorm, value):
+    return (-dominance if np.isfinite(dominance) else -np.inf, -rnorm, value.real, value.imag)
+
+
 def dominance_order(poles):
     """Sort poles by descending dominance.
 
     Imaginary-axis poles (infinite index) come first; ties break by residue
     norm, then by value for determinism.
     """
-    def key(p):
-        rnorm = float(np.linalg.norm(p.residue, 2))
-        dom = p.dominance
-        return (-dom if np.isfinite(dom) else -np.inf, -rnorm, p.value.real, p.value.imag)
-
-    return sorted(poles, key=key)
+    return sorted(poles, key=lambda p: _rank_key(
+        p.dominance, float(np.linalg.norm(p.residue, 2)), p.value))
 
 
-def _transfer_triplet(sys, s, eps_sing):
-    """Largest-magnitude eigentriplet (theta, u, v) of G(s), square G only."""
-    n = sys.n
-    M = s * np.eye(n) - sys.A
-    if cond2(M) >= 1.0 / eps_sing:
-        raise ShiftAtEigenvalue(f"shift {complex(s):.6g} sits on an eigenvalue of A")
-    try:
-        X = np.linalg.solve(M, sys.B)
-    except np.linalg.LinAlgError as exc:
-        raise ShiftAtEigenvalue(f"shift {complex(s):.6g} sits on an eigenvalue of A") from exc
-    if not np.all(np.isfinite(X)):
-        raise ShiftAtEigenvalue(f"shift {complex(s):.6g} sits on an eigenvalue of A")
-    G = sys.C @ X + sys.D
-    if G.shape[0] != G.shape[1]:
-        raise DimensionMismatch(
-            f"dominant pole search needs a square transfer matrix, got {G.shape}"
-        )
-    theta, vl, vr = scipy.linalg.eig(G, left=True, right=True)
-    idx = int(np.argmax(np.abs(theta)))
-    th = theta[idx]
-    if abs(th) == 0.0:
-        raise SingularTransfer(f"transfer matrix vanishes at {complex(s):.6g}")
-    u = vr[:, idx]
-    v = vl[:, idx]
-    return th, u, v, X, M
+def _conjugate_partners(values):
+    """Index of the conjugate of each complex eigenvalue of a real matrix.
 
-
-def newton_step(system, s, eps_sing=1e-10):
-    """One Newton update toward the closest pole from shift s.
-
-    Returns (next_shift, (theta, u, v)) where (theta, u, v) is the dominant
-    eigentriplet of the transfer matrix at s.
+    LAPACK lists the eigenvalues of a real matrix with each conjugate pair
+    in consecutive places, the member with positive imaginary part first.
     """
-    sys = as_state_space(system)
-    th, u, v, X, M = _transfer_triplet(sys, s, eps_sing)
-    vhu = np.vdot(v, u)
-    if abs(vhu) <= 1e-12:
-        raise DegenerateEigenvector("transfer eigenvectors are near orthogonal")
-    Y = np.linalg.solve(M, X)  # (sI - A)^-2 B
-    slope = np.vdot(v, sys.C @ Y @ u)
-    if abs(slope) == 0.0:
-        raise DegenerateEigenvector("zero derivative in the Newton step")
-    s_next = s - th * vhu / slope
-    return complex(s_next), (complex(th), u, v)
+    partner = {}
+    for i in range(values.size - 1):
+        if values[i].imag > 0.0 and i not in partner:
+            partner[i], partner[i + 1] = i + 1, i
+    return partner
 
 
-def _mgs_append(Q, w):
-    """Orthonormalize w against the columns of Q (twice); None if it collapses."""
-    nrm0 = np.linalg.norm(w)
-    if nrm0 == 0.0:
-        return None
-    v = w / nrm0
-    for _ in range(2):
-        if Q is not None and Q.shape[1]:
-            v = v - Q @ (Q.conj().T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm <= 1e-12:
-            return None
-        v = v / nrm
-    return v
+def dominant_poles(system, count, eps_sing=1e-10):
+    """The `count` most dominant poles of a system, most dominant first.
 
-
-def _deflate(found, x):
-    for p in found:
-        denom = np.vdot(p.left, p.right)
-        x = x - p.right * (np.vdot(p.left, x) / denom)
-    return x
-
-
-def _deflate_left(found, y):
-    for p in found:
-        denom = np.vdot(p.right, p.left)
-        y = y - p.left * (np.vdot(p.right, y) / denom)
-    return y
-
-
-def _pole_at_shift(sys, s, tau_conv, afro):
-    """Eigentriplet read off a shift that sits numerically on a pole.
-
-    The singular vectors of sI - A for its smallest singular value give the
-    right/left eigenvectors; the Rayleigh quotient refines the value.  Returns
-    None when the residual does not actually pass the convergence test.
-    """
-    M = s * np.eye(sys.n) - sys.A
-    U, _, Vh = np.linalg.svd(M)
-    x = Vh[-1].conj()
-    y = U[:, -1]
-    denom = np.vdot(y, x)
-    if abs(denom) <= 1e-12:
-        return None
-    lam = complex(np.vdot(y, sys.A @ x) / denom)
-    resid = float(np.linalg.norm(sys.A @ x - lam * x) / afro)
-    if resid >= tau_conv:
-        return None
-    R = np.outer(sys.C @ x, y.conj() @ sys.B) / denom
-    return DominantPole(lam, x, y, R, dominance_index(lam, R))
-
-
-def default_shifts(system):
-    """Starting shifts: small damping, frequencies spread to the norm of A."""
-    sys = as_state_space(system)
-    hi = max(1.0, float(np.linalg.norm(sys.A, "fro")))
-    count = max(2, 2 * sys.m)
-    freqs = np.geomspace(0.1, hi, count)
-    return [complex(-0.1, w) for w in freqs]
-
-
-def dominant_poles(
-    system,
-    count,
-    shifts=None,
-    tau_conv=DEFAULT_TAU_CONV,
-    max_outer=DEFAULT_MAX_OUTER,
-    eps_sing=1e-10,
-):
-    """Find the `count` most dominant poles of a square MIMO system.
-
-    Subspace-accelerated Newton iteration: each outer step expands two search
-    spaces with deflated solves at the current shift, takes the most dominant
-    Ritz pair as the next shift, and accepts it once the eigenvalue residual
-    ||A x - lambda x|| / ||A||_F drops below tau_conv.  Complex poles of real
-    systems arrive together with their conjugates.  Raises NoConvergence when
-    a pole eats max_outer iterations.
+    One dense eigendecomposition of A gives every pole with its residue; the
+    poles are ranked by dominance_order and the first `count` returned.  For
+    a real system a complex pole whose conjugate falls beyond the cut brings
+    the conjugate along, and eigenvalues within 1e-8 (relative) of the real
+    axis are reported as real.  Raises NonDiagonalizableBlock when the
+    eigenvector matrix of A has condition at least 1/eps_sing.
     """
     sys = as_state_space(system)
     n = sys.n
     if n == 0 or count <= 0:
         return []
-    count = min(count, n)
+    modes = modal_form(sys.A, sys.B, sys.C, eps_sing)
     real_system = not (
         np.iscomplexobj(sys.A) or np.iscomplexobj(sys.B) or np.iscomplexobj(sys.C)
     )
-    if shifts is None:
-        shifts = default_shifts(sys)
-    shifts = [complex(s) for s in shifts]
-    afro = max(float(np.linalg.norm(sys.A, "fro")), 1e-300)
-    scale = max(1.0, afro)
-    # the inner iteration drives shifts arbitrarily close to poles on purpose,
-    # so the solve guard is left at essentially machine level there
-    inner_eps = 1e-15
-
-    found = []
-    shift_idx = 0
-    sk = shifts[0]
-    X = np.zeros((n, 0), dtype=complex)
-    Y = np.zeros((n, 0), dtype=complex)
-    iters_this_pole = 0
-
-    def advance_shift():
-        nonlocal shift_idx, sk
-        shift_idx += 1
-        sk = shifts[shift_idx % len(shifts)]
-
-    def known(value):
-        return any(
-            abs(value - p.value) <= 1e-6 * max(1.0, abs(p.value)) for p in found
-        )
 
     def snap(value):
         if real_system and abs(value.imag) <= 1e-8 * max(1.0, abs(value)):
             return complex(value.real, 0.0)
         return complex(value)
 
-    def accept(value, xv, yv, R, dom):
-        nonlocal X, Y, iters_this_pole
-        found.append(DominantPole(snap(value), xv, yv, R, dom))
-        val = found[-1].value
-        if real_system and abs(val.imag) > 0.0:
-            cp = DominantPole(
-                np.conj(val), xv.conj(), yv.conj(), R.conj(),
-                dominance_index(np.conj(val), R.conj()),
-            )
-            if not known(cp.value) and len(found) < n:
-                found.append(cp)
-        X = np.zeros((n, 0), dtype=complex)
-        Y = np.zeros((n, 0), dtype=complex)
-        iters_this_pole = 0
-        advance_shift()
-
-    while len(found) < count:
-        iters_this_pole += 1
-        if iters_this_pole > max_outer:
-            raise NoConvergence(
-                f"no pole converged within {max_outer} iterations "
-                f"(found {len(found)} of {count})"
-            )
-        appended = False
-        try:
-            th, u, v, Xsolve, M = _transfer_triplet(sys, sk, inner_eps)
-            x_new = _deflate(found, Xsolve @ u)
-            y_new = _deflate_left(found, np.linalg.solve(M.conj().T, sys.C.conj().T @ v))
-            xo = _mgs_append(X if X.shape[1] else None, x_new)
-            yo = _mgs_append(Y if Y.shape[1] else None, y_new)
-            if xo is not None and yo is not None:
-                X = np.hstack([X, xo[:, None]])
-                Y = np.hstack([Y, yo[:, None]])
-                appended = True
-        except ShiftAtEigenvalue:
-            # the Newton sequence has landed on a pole; read the eigentriplet
-            # straight from the (numerically singular) shifted matrix
-            pole = _pole_at_shift(sys, sk, tau_conv, afro)
-            if pole is not None and not known(pole.value):
-                accept(pole.value, pole.right, pole.left, pole.residue, pole.dominance)
-                continue
-            advance_shift()
-        except (SingularTransfer, DegenerateEigenvector):
-            advance_shift()
-        if X.shape[1] == 0:
-            continue
-
-        # Ritz pairs of the projected pencil (Y^H A X, Y^H X)
-        S = Y.conj().T @ (sys.A @ X)
-        T = Y.conj().T @ X
-        theta, wl, wr = scipy.linalg.eig(S, T, left=True, right=True)
-        cands = []
-        for i, lam in enumerate(theta):
-            if not np.isfinite(lam):
-                continue
-            xv = X @ wr[:, i]
-            yv = Y @ wl[:, i]
-            nx, ny = np.linalg.norm(xv), np.linalg.norm(yv)
-            if nx <= 1e-14 or ny <= 1e-14:
-                continue
-            xv = xv / nx
-            yv = yv / ny
-            if abs(np.vdot(yv, xv)) <= 1e-12:
-                continue
-            if known(lam):
-                continue
-            R = np.outer(sys.C @ xv, yv.conj() @ sys.B) / np.vdot(yv, xv)
-            cands.append((dominance_index(lam, R), complex(lam), xv, yv, R))
-        if not cands:
-            advance_shift()
-            continue
-        cands.sort(key=lambda c: (-c[0] if np.isfinite(c[0]) else -np.inf,
-                                  c[1].real, c[1].imag))
-        dom, lam, xv, yv, R = cands[0]
-        resid = float(np.linalg.norm(sys.A @ xv - lam * xv) / afro)
-        if resid < tau_conv:
-            accept(lam, xv, yv, R, dom)
-            continue
-        # not converged: the most dominant Ritz value is the next shift
-        if np.isfinite(lam) and abs(lam) < 1e6 * scale:
-            sk = lam
-        else:
-            advance_shift()
-        if X.shape[1] > min(n, 30):
-            keep = min(SUBSPACE_KEEP, len(cands))
-            Xn = np.zeros((n, 0), dtype=complex)
-            Yn = np.zeros((n, 0), dtype=complex)
-            for c in cands[:keep]:
-                xo = _mgs_append(Xn if Xn.shape[1] else None, c[2])
-                yo = _mgs_append(Yn if Yn.shape[1] else None, c[3])
-                if xo is not None and yo is not None:
-                    Xn = np.hstack([Xn, xo[:, None]])
-                    Yn = np.hstack([Yn, yo[:, None]])
-            X, Y = Xn, Yn
-
-    return dominance_order(found)
+    dominance, rnorms = modes.dominance, modes.residue_norms
+    poles = [
+        DominantPole(snap(v), modes.right[:, i], modes.left(i), modes.residue(i),
+                     float(dominance[i]))
+        for i, v in enumerate(modes.values)
+    ]
+    ranked = sorted(range(n), key=lambda i: _rank_key(dominance[i], rnorms[i], poles[i].value))
+    chosen = set(ranked[:count])
+    if real_system:
+        partner = _conjugate_partners(modes.values)
+        chosen.update(partner[i] for i in ranked[:count] if i in partner)
+    return [poles[i] for i in ranked if i in chosen]

@@ -122,10 +122,6 @@ class SingularVandermonde(NumericalError):
     pass
 
 
-class SingularTransfer(NumericalError):
-    pass
-
-
 class NotBlockControllable(NumericalError):
     pass
 
@@ -135,10 +131,6 @@ class NotDecoupled(NumericalError):
 
 
 class ProbeAtPole(NumericalError):
-    pass
-
-
-class ShiftAtEigenvalue(NumericalError):
     pass
 
 

@@ -131,6 +131,18 @@ class MatrixPolynomial:
             return value.real
         return value
 
+    def evaluation_scale(self, s):
+        """Sum of ||C_k||_F |s|**(degree - k): the size of the terms of A(s).
+
+        A singular value of A(s) that is small against this sum is zero up
+        to rounding, whatever the size of the other singular values.
+        """
+        z = abs(complex(s))
+        total = 0.0
+        for c in self.coeffs:
+            total = total * z + float(np.linalg.norm(c))
+        return total
+
     def block_value(self, X, side="right"):
         """Value with a square matrix substituted for the scalar variable.
 
@@ -225,17 +237,18 @@ class MatrixPolynomial:
         """Unit latent vector at a latent root, from the SVD of A(root).
 
         Raises NotALatentRoot when the smallest singular value of A(root) is
-        not below tau_null relative to the largest.
+        not below tau_null relative to the evaluation scale of the polynomial
+        there (see evaluation_scale).
         """
         _check_side(side)
         self.block_size  # squares only
         A = self.evaluate(complex(root))
         U, sig, Vh = np.linalg.svd(A)
-        smax = sig[0] if sig.size else 0.0
         smin = sig[-1] if sig.size else 0.0
-        if smax > 0 and smin > tau_null * smax:
+        scale = self.evaluation_scale(root)
+        if smin > tau_null * scale:
             raise NotALatentRoot(
-                f"smallest singular value {smin:.3e} vs largest {smax:.3e} "
+                f"smallest singular value {smin:.3e} vs evaluation scale {scale:.3e} "
                 f"at s = {complex(root):.6g}"
             )
         if side == "right":

@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from ._util import cond2, is_conjugate_closed, realify
+from ._util import is_conjugate_closed, realify
 from .errors import (
     AlreadyMinimal,
     ConjugateBreak,
@@ -39,7 +39,7 @@ from .errors import (
     NotALatentRoot,
     UnstableSystem,
 )
-from .dompoles import dominance_index, dominant_poles
+from .dompoles import dominant_poles, modal_form
 from .matpoly import MatrixPolynomial
 from .metrics import (
     as_state_space,
@@ -76,14 +76,13 @@ class Tolerances:
     tau_null: float = 1e-6
     tau_gap: float = 1e-6
     eps_sing: float = 1e-10
-    tau_conv: float = 1e-8
     dominance_cutoff: float = 0.05
     node_budget: int = 10000
 
     def __post_init__(self):
         for name in (
             "re_threshold", "match_tol", "tau_null", "tau_gap",
-            "eps_sing", "tau_conv", "dominance_cutoff",
+            "eps_sing", "dominance_cutoff",
         ):
             if not (float(getattr(self, name)) > 0.0):
                 raise ValueError(f"{name} must be strictly positive")
@@ -272,45 +271,13 @@ def match_solvents_to_poles(solvent_set, poles, match_tol=0.1):
     return MatchResult(tuple(matched), unmatched, distances)
 
 
-def _modal_components(block, eps_sing):
-    """Per-eigenvalue data of one block: (value, input row, output column).
-
-    The input row is z^H B / (z^H w) and the output column is C w, so the
-    block transfer is the sum of (column)(row) / (s - value) over components.
-    """
-    if block.size == 0:
-        return []
-    theta, vl, vr = scipy.linalg.eig(block.a, left=True, right=True)
-    if cond2(vr) >= 1.0 / eps_sing:
-        raise NonDiagonalizableBlock(
-            f"eigenvector matrix condition {cond2(vr):.3e}"
-        )
-    out = []
-    for i, lam in enumerate(theta):
-        w = vr[:, i]
-        z = vl[:, i]
-        denom = np.vdot(z, w)
-        if abs(denom) <= 1e-12:
-            raise DegenerateEigenvector(
-                f"near-orthogonal eigenvectors at {complex(lam):.6g}"
-            )
-        brow = (z.conj() @ block.b) / denom
-        ccol = block.c @ w
-        out.append((complex(lam), brow, ccol))
-    return out
-
-
 def _block_dominance(block, eps_sing=1e-10):
     """Largest per-eigenvalue dominance index carried by one diagonal block."""
     try:
-        comps = _modal_components(block, eps_sing)
+        modes = modal_form(block.a, block.b, block.c, eps_sing)
     except (NonDiagonalizableBlock, DegenerateEigenvector):
         return np.inf  # treat as too important to discard
-    best = 0.0
-    for lam, brow, ccol in comps:
-        residue = np.outer(ccol, brow)
-        best = max(best, dominance_index(lam, residue))
-    return best
+    return float(np.max(modes.dominance, initial=0.0))
 
 
 def _neglected(bd, indices):
@@ -330,33 +297,25 @@ def _split_block_values(block, drop_values, eps_sing=1e-10):
     """
     drop_values = list(np.asarray(drop_values, dtype=complex).ravel())
     real_block = not np.iscomplexobj(block.a)
-    m = block.b.shape[1]
-    p = block.c.shape[0]
     if not drop_values:
-        return block, _assemble_modal_block([], m, p, real_block)
+        m, p = block.b.shape[1], block.c.shape[0]
+        return block, DiagonalBlock(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))
     if real_block and not is_conjugate_closed(drop_values):
         raise ConjugateBreak("dropped eigenvalues must form conjugate pairs")
-    comps = _modal_components(block, eps_sing)
-    scale = max(1.0, max(abs(c[0]) for c in comps))
-    taken = [False] * len(comps)
+    modes = modal_form(block.a, block.b, block.c, eps_sing)
+    scale = max(1.0, float(np.max(np.abs(modes.values), initial=0.0)))
+    taken = np.zeros(modes.values.size, dtype=bool)
     for v in drop_values:
-        best, best_d = None, np.inf
-        for i, (lam, _, _) in enumerate(comps):
-            if taken[i]:
-                continue
-            d = abs(lam - v)
-            if d < best_d:
-                best, best_d = i, d
-        if best is None or best_d > 1e-6 * scale:
+        dist = np.where(taken, np.inf, np.abs(modes.values - v))
+        best = int(np.argmin(dist)) if dist.size else None
+        if best is None or dist[best] > 1e-6 * scale:
             raise NotALatentRoot(
                 f"{_fmt_value(v)} is not an eigenvalue of this block"
             )
         taken[best] = True
-    kept = [comps[i] for i in range(len(comps)) if not taken[i]]
-    dropped = [comps[i] for i in range(len(comps)) if taken[i]]
     return (
-        _assemble_modal_block(kept, m, p, real_block),
-        _assemble_modal_block(dropped, m, p, real_block),
+        _assemble_modal_block(modes, np.flatnonzero(~taken), real_block),
+        _assemble_modal_block(modes, np.flatnonzero(taken), real_block),
     )
 
 
@@ -393,23 +352,24 @@ def trim_subsystem_eigen(bd, block, drop, tol=None):
     return BlockDiagonalRealization(tuple(blocks), bd.feedthrough, bd.io_shape)
 
 
-def _assemble_modal_block(components, m, p, real_output=True):
-    """Modal realization from kept (value, input row, output column) data.
+def _assemble_modal_block(modes, indices, real_output=True):
+    """Modal realization of the modes `indices` of a ModalForm.
 
     For a real system a real eigenvalue contributes a 1x1 state and a
     conjugate pair the 2x2 rotation block [[a, -b], [b, a]], driven by the
     real and imaginary parts of its input row and observed through twice the
     real part of its output column next to minus twice the imaginary part.
     """
-    order = sorted(range(len(components)),
-                   key=lambda i: (components[i][0].real, components[i][0].imag))
-    used = [False] * len(components)
+    m, p = modes.inputs.shape[1], modes.outputs.shape[0]
+    indices = list(indices)
+    order = sorted(indices, key=lambda i: (modes.values[i].real, modes.values[i].imag))
+    used = set()
     a_parts, b_parts, c_parts = [], [], []
     for i in order:
-        if used[i]:
+        if i in used:
             continue
-        used[i] = True
-        lam, brow, ccol = components[i]
+        used.add(i)
+        lam, brow, ccol = complex(modes.values[i]), modes.inputs[i], modes.outputs[:, i]
         if not real_output:
             a_parts.append(np.array([[lam]], dtype=complex))
             b_parts.append(np.asarray(brow, dtype=complex).reshape(1, m))
@@ -422,17 +382,18 @@ def _assemble_modal_block(components, m, p, real_output=True):
             continue
         # find and consume the conjugate partner
         partner = None
-        for j in range(len(components)):
-            if not used[j] and abs(np.conj(lam) - components[j][0]) <= 1e-8 * max(1.0, abs(lam)):
+        for j in indices:
+            if j not in used and abs(np.conj(lam) - modes.values[j]) <= 1e-8 * max(1.0, abs(lam)):
                 partner = j
                 break
         if partner is None:
             raise ConjugateBreak(
                 f"eigenvalue {_fmt_value(lam)} kept without its conjugate"
             )
-        used[partner] = True
+        used.add(partner)
         if lam.imag < 0:  # work with the positive-imaginary member
-            lam, brow, ccol = components[partner]
+            lam = complex(modes.values[partner])
+            brow, ccol = modes.inputs[partner], modes.outputs[:, partner]
         al, be = lam.real, lam.imag
         brow = np.asarray(brow)
         ccol = np.asarray(ccol)
@@ -471,10 +432,10 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
 
     Pipeline: extract the right matrix fraction, compute a complete solvent
     set of its denominator, decouple the system into one block per solvent,
-    find the dominant poles (count k, or grown adaptively until the matched
-    solvent set settles), and discard the blocks no dominant pole claims,
-    least dominant first.  When that phase eliminated something and
-    continue_blocks is set, elimination proceeds to the least dominant
+    rank the poles by dominance (the k most dominant, or all of them, less
+    those under the dominance cut-off), and discard the blocks no dominant
+    pole claims, least dominant first.  When that phase eliminated something
+    and continue_blocks is set, elimination proceeds to the least dominant
     claimed blocks, and with trim_eigen to individual eigenvalues of the
     least dominant remaining block (finer granularity once whole blocks stop
     fitting).  Every step is guarded by the relative error of everything
@@ -503,29 +464,13 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         node_budget=tol.node_budget,
     )
     bd = block_diagonalize(css, cset, eps_sing=tol.eps_sing)
-    n, m = css.n, css.m
+    n = css.n
 
-    if k is not None:
-        count = max(1, min(int(k), n))
-        poles = dominant_poles(css, count, tau_conv=tol.tau_conv, eps_sing=tol.eps_sing)
-        match = match_solvents_to_poles(
-            cset, _cutoff_filter(poles, tol.dominance_cutoff), tol.match_tol
-        )
-    else:
-        count = min(m, n)
-        prev = None
-        while True:
-            poles = dominant_poles(
-                css, count, tau_conv=tol.tau_conv, eps_sing=tol.eps_sing
-            )
-            match = match_solvents_to_poles(
-                cset, _cutoff_filter(poles, tol.dominance_cutoff), tol.match_tol
-            )
-            keep = set(match.matched)
-            if keep == prev or count >= n:
-                break
-            prev = keep
-            count = min(n, count + m)
+    count = n if k is None else max(1, min(int(k), n))
+    poles = dominant_poles(css, count, eps_sing=tol.eps_sing)
+    match = match_solvents_to_poles(
+        cset, _cutoff_filter(poles, tol.dominance_cutoff), tol.match_tol
+    )
 
     dom = {i: _block_dominance(bd.blocks[i], tol.eps_sing)
            for i in range(len(bd.blocks))}
@@ -569,21 +514,22 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     extra_neglected = []
     if trim_eigen and eliminated and work:
         last = min(work, key=lambda j: dom[j])
+        block = work[last]
         try:
-            comps = _modal_components(work[last], tol.eps_sing)
+            modes = modal_form(block.a, block.b, block.c, tol.eps_sing)
+            vals, doms = list(modes.values), list(modes.dominance)
         except (NonDiagonalizableBlock, DegenerateEigenvector):
-            comps = []
-        real_block = not np.iscomplexobj(work[last].a)
-        vals = [c[0] for c in comps]
+            vals, doms = [], []
+        real_block = not np.iscomplexobj(block.a)
         scale = max(1.0, max((abs(v) for v in vals), default=1.0))
         units = _conjugate_units(_cluster_roots(vals, scale), real_block, scale)
 
         def unit_dominance(u):
             best = 0.0
             for z, _mult in u:
-                for lam, brow, ccol in comps:
+                for lam, d in zip(vals, doms):
                     if abs(lam - z) <= 1e-6 * scale:
-                        best = max(best, dominance_index(lam, np.outer(ccol, brow)))
+                        best = max(best, d)
             return best
 
         for u in sorted(units, key=unit_dominance):

@@ -310,7 +310,9 @@ def _null_basis(P, lam, mult, tau_null):
     """mult independent right latent vectors at a (possibly repeated) root."""
     A = P.evaluate(complex(lam))
     U, sig, Vh = np.linalg.svd(A)
-    thresh = tau_null * max(float(sig[0]), 1e-300)
+    # against the size of the terms of P(lam), not against sigma_max: with
+    # mult = m (every SISO root) sigma_max is itself the value under test
+    thresh = tau_null * max(P.evaluation_scale(lam), 1e-300)
     if float(sig[-mult]) > thresh:
         raise DefectiveRoot(
             f"root {complex(lam):.6g} with multiplicity {mult} has only "

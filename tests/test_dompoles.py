@@ -5,14 +5,17 @@ from numpy.testing import assert_allclose
 
 from blockred.dompoles import (
     DominantPole,
-    default_shifts,
     dominance_index,
     dominance_order,
     dominant_poles,
-    newton_step,
+    modal_form,
     residue_matrix,
 )
-from blockred.errors import DegenerateEigenvector, DimensionMismatch, NoConvergence
+from blockred.errors import (
+    DegenerateEigenvector,
+    DimensionMismatch,
+    NonDiagonalizableBlock,
+)
 from blockred.sysrep import StateSpace
 
 from conftest import probe_points, random_diagonalizable_stable
@@ -75,25 +78,6 @@ def test_dominance_order_sorting():
     assert [p.value for p in out] == [axis.value, strong.value, weak.value]
 
 
-def test_newton_step_moves_toward_pole():
-    a = np.diag([-1.0, -10.0])
-    ss = StateSpace(a, np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]]))
-    s0 = -1.3 + 0.1j
-    s1, (theta, u, v) = newton_step(ss, s0)
-    # the transfer matrix here is scalar, so theta is its value at the shift
-    assert theta == pytest.approx(complex(ss.transfer(s0)[0, 0]))
-    assert abs(s1 - (-1.0)) < abs(s0 - (-1.0))
-    s2, _ = newton_step(ss, s1)
-    assert abs(s2 - (-1.0)) < 1e-3
-
-
-def test_default_shifts_shape(rng):
-    ss = random_diagonalizable_stable(rng, 6, 2, 2)
-    sh = default_shifts(ss)
-    assert len(sh) == 4
-    assert all(s.real == pytest.approx(-0.1) for s in sh)
-
-
 def test_dominant_poles_full_set_matches_dense(rng):
     for _ in range(5):
         n = int(rng.integers(3, 8))
@@ -137,15 +121,6 @@ def test_dominant_poles_respects_count(rng):
         assert np.min(np.abs(eigs - p.value)) < 1e-6 * max(1.0, abs(p.value))
 
 
-def test_dominant_poles_custom_shifts():
-    a = np.diag([-1.0, -20.0])
-    ss = StateSpace(a, np.eye(2), np.eye(2))
-    got = dominant_poles(ss, 2, shifts=[-0.5 + 0.2j, -15.0 + 0.2j])
-    assert_allclose(
-        np.sort([p.value.real for p in got]), [-20.0, -1.0], atol=1e-6
-    )
-
-
 def test_dominant_poles_finds_most_dominant_first():
     # one very strong mode, one weak one, well separated
     a = np.diag([-1.0, -50.0])
@@ -155,18 +130,77 @@ def test_dominant_poles_finds_most_dominant_first():
     assert got[0].value == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_dominant_poles_rejects_nonsquare(rng):
-    ss = StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        dominant_poles(ss, 1)
+def test_dominant_poles_nonsquare_matches_dense(rng):
+    # the residue norm is defined for any p x m, so no square G(s) is needed
+    for m, p in ((1, 3), (3, 1), (2, 3)):
+        ss = random_diagonalizable_stable(rng, 6, m, p)
+        got = dominant_poles(ss, ss.n)
+        want = dominance_order(dense_pole_oracle(ss))
+        assert len(got) == len(want) == ss.n
+        for g in got:
+            w = min(want, key=lambda q: abs(q.value - g.value))
+            assert g.value == pytest.approx(w.value, rel=1e-8, abs=1e-10)
+            assert g.residue.shape == (p, m)
+            assert_allclose(g.residue, w.residue, rtol=1e-6, atol=1e-9)
+            assert g.dominance == pytest.approx(w.dominance, rel=1e-8)
 
 
-def test_dominant_poles_iteration_budget(rng):
-    ss = random_diagonalizable_stable(rng, 5, 2, 2)
-    with pytest.raises(NoConvergence):
-        dominant_poles(ss, 5, max_outer=0)
+def test_dominant_poles_cut_keeps_conjugate_pairs():
+    # the most dominant pole is complex: a cut after it brings its partner
+    a = scipy.linalg.block_diag(np.array([[-1.0, -3.0], [3.0, -1.0]]), -5.0, -8.0)
+    b = np.array([[1.0, 0.0], [0.5, 1.0], [0.3, 0.1], [0.1, 0.3]])
+    ss = StateSpace(a, b, b.T)
+    got = dominant_poles(ss, 1)
+    assert sorted(p.value.imag for p in got) == pytest.approx([-3.0, 3.0])
+    got = dominant_poles(ss, 3)
+    assert [p.value for p in got][2] == pytest.approx(-5.0)
+    assert len(got) == 3
 
 
 def test_dominant_poles_empty_requests(rng):
     ss = random_diagonalizable_stable(rng, 4, 2, 2)
     assert dominant_poles(ss, 0) == []
+
+
+def modal_transfer(modes, s):
+    """Sum over modes of outer(output column, input row) / (s - value)."""
+    return sum(np.outer(modes.outputs[:, i], modes.inputs[i]) / (s - lam)
+               for i, lam in enumerate(modes.values))
+
+
+def test_modal_form_reassembles_transfer(rng):
+    ss = random_diagonalizable_stable(rng, 5, 2, 3)
+    modes = modal_form(ss.A, ss.B, ss.C, eps_sing=1e-10)
+    for s in probe_points(rng, 5):
+        total = modal_transfer(modes, s)
+        assert_allclose(total, ss.transfer(s), rtol=1e-8, atol=1e-10)
+    for i in range(modes.values.size):
+        assert modes.dominance[i] == pytest.approx(
+            dominance_index(modes.values[i], modes.residue(i)), rel=1e-10
+        )
+
+
+def test_modal_form_repeated_diagonalizable_eigenvalue(rng):
+    # a double eigenvalue with two eigenvectors: the input rows come from
+    # inv(V), so the modal split still reproduces the transfer matrix
+    t = rng.standard_normal((3, 3))
+    a = t @ np.diag([-1.0, -1.0, -3.0]) @ np.linalg.inv(t)
+    ss = StateSpace(a, rng.standard_normal((3, 2)), rng.standard_normal((2, 3)))
+    modes = modal_form(ss.A, ss.B, ss.C, eps_sing=1e-10)
+    for s in probe_points(rng, 5):
+        total = modal_transfer(modes, s)
+        assert_allclose(total, ss.transfer(s), rtol=1e-7, atol=1e-9)
+
+
+def test_modal_form_guards():
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    b = np.eye(2)
+    with pytest.raises(NonDiagonalizableBlock):
+        modal_form(jordan, b, b, eps_sing=1e-10)
+    with pytest.raises(DegenerateEigenvector):
+        # a tolerance this small lets the Jordan block past the condition check
+        modal_form(jordan, b, b, eps_sing=1e-300)
+    with pytest.raises(NonDiagonalizableBlock):
+        dominant_poles(StateSpace(jordan, b, b), 2)
+    empty = modal_form(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)), eps_sing=1e-10)
+    assert empty.values.size == 0 and empty.inputs.shape == (0, 2)

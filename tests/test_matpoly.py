@@ -198,6 +198,16 @@ def test_latent_vector_rejects_non_root():
         P.latent_vector(100.0)
 
 
+def test_latent_vector_scalar_polynomial():
+    # with 1 x 1 blocks the root test cannot compare sigma_min with sigma_max
+    P = MatrixPolynomial([np.eye(1), 3 * np.eye(1), 2 * np.eye(1)])
+    v, res = P.latent_vector(-2.0)
+    assert abs(v[0]) == pytest.approx(1.0)
+    assert res < 1e-12
+    with pytest.raises(NotALatentRoot):
+        P.latent_vector(-1.5)
+
+
 def test_latent_pair_consistency(rng):
     P = random_monic_poly(rng, 2, 2)
     z = P.latent_roots()[0]

@@ -8,6 +8,7 @@ from blockred.data import (
     reference_dominant_poles,
     reference_solvents,
 )
+from blockred.dompoles import dominance_order, dominant_poles
 from blockred.errors import (
     AlreadyMinimal,
     ConjugateBreak,
@@ -28,10 +29,12 @@ from blockred.sysrep import (
     DiagonalBlock,
     RightMFD,
     StateSpace,
+    mfd_from_state_space,
 )
 from blockred.metrics import h2_error, h2_norm
 
-from conftest import planted_block_system, probe_points
+from conftest import hankel_oracle, planted_block_system, probe_points
+from test_dompoles import dense_pole_oracle
 
 
 def test_tolerances_validation():
@@ -312,3 +315,115 @@ def test_reduce_dominant_report_re_matches_recomputation(rng):
     diff = StateSpace(ss.A, ss.B, ss.C, np.zeros_like(ss.D))
     neglect = h2_error(diff, StateSpace(red.A, red.B, red.C, np.zeros_like(red.D)))
     assert rep.h2_error == pytest.approx(neglect, rel=1e-8)
+
+
+def _siso_system():
+    # 1/(s+1) + 0.5/(s+3) + 0.01/(s+20): the fast mode carries almost nothing
+    return StateSpace(
+        np.diag([-1.0, -3.0, -20.0]), np.ones((3, 1)), np.array([[1.0, 0.5, 0.01]])
+    )
+
+
+def test_reduce_dominant_siso():
+    red, rep = reduce_dominant(_siso_system())
+    assert rep.reduced_order == 2
+    assert rep.eliminated == ["block 0 [-20] (no dominant pole)"]
+    assert rep.re_value <= rep.threshold
+    assert_allclose(np.sort(red.poles().real), [-3.0, -1.0], atol=1e-8)
+
+
+def test_reduce_latent_siso():
+    red, rep = reduce_latent(mfd_from_state_space(_siso_system()))
+    assert rep.reduced_order == 2
+    assert rep.eliminated == ["solvent eigenvalues [-20]"]
+    assert rep.re_value <= rep.threshold
+    assert_allclose(np.sort(red.D.latent_roots().real), [-3.0, -1.0], atol=1e-8)
+
+
+def test_reduce_dominant_nonsquare(rng):
+    # three outputs, two inputs: the reduction is stable and its reported RE
+    # is reproduced from the Hankel values of full and full - reduced
+    ss2, weak, ablocks = planted_block_system(rng)
+    ss = StateSpace(ss2.A, ss2.B, np.vstack([ss2.C, rng.standard_normal((1, 2)) @ ss2.C]))
+    red, rep = reduce_dominant(ss)
+    assert rep.reduced_order < ss.n
+    assert np.all(red.poles().real < 0.0)
+    assert red.C.shape == (3, red.n)
+    err = StateSpace(
+        scipy.linalg.block_diag(ss.A, red.A), np.vstack([ss.B, red.B]),
+        np.hstack([ss.C, -red.C]),
+    )
+    want = np.sqrt(np.sum(hankel_oracle(err) ** 4) / np.sum(hankel_oracle(ss) ** 4))
+    assert rep.re_value == pytest.approx(want, rel=1e-5, abs=1e-9)
+    for v in np.linalg.eigvals(ablocks[weak]):
+        assert np.min(np.abs(red.poles() - v)) > 1e-3
+
+
+# An m = 3, r = 3 system of a graded family (output block i weighted by
+# 0.2**i) on which the former iterative dominant pole search gave up after
+# 8 of 9 poles.
+_PLAIN_M3R3_A = np.array([
+    [12.5759278120882, -0.14767548685773793, -8.530947279858342, -6.412461000451143,
+     -2.4546681645163733, 7.505392989035024, -5.942659350986062, 4.5959717154429285,
+     13.5031057102945],
+    [4.255528546854432, -1.0475142249666487, -3.9306763875805695, -3.863386795233535,
+     -3.1359787228129874, -0.2827047318778582, -4.49458052299697, 3.8764766532156387,
+     4.788586054251567],
+    [14.557592966935951, -0.02525104399327401, -10.481410319957492, -7.014673826117465,
+     -2.343555234729533, 9.521862781687556, -6.515789876491432, 4.836344637378409,
+     15.192614666984635],
+    [12.555469387513929, -0.2606387937072804, -7.989874324640155, -5.338199806397885,
+     -2.2663360819224514, 8.507176061015791, -5.735373173273247, 2.5508841665095963,
+     13.572510654379077],
+    [-3.405971345403128, -0.7208088926444114, 1.7312304135813485, -0.4279900285220554,
+     -0.5365907302755627, -3.3253624753933497, 1.5157381809366377,
+     -0.14143552756171987, -3.0379212905839474],
+    [-8.156500867560265, 0.6193595419302789, 4.941833615260099, 4.287297280178139,
+     1.1208914705891169, -5.083487233443083, 3.6754145038419805, -2.7968600737461817,
+     -8.27741739788565],
+    [0.4747235269078332, 0.352764216156518, -0.3924554278757211, -0.8648937670365601,
+     -1.0848431826580025, -1.5051478534365301, -1.2501710519099758, 1.2232411488244836,
+     0.3051985152736524],
+    [-25.78238955325339, 0.6614486518530708, 15.596339071255732, 10.60374270312457,
+     3.4534172135520556, -16.01797514230697, 11.92391940432174, -8.475750215751997,
+     -25.206448327876377],
+    [10.100609540067097, -0.46009610277515867, -6.450674473375892, -5.049232358323597,
+     -1.7280475808977211, 5.818955936751603, -4.843623418899702, 3.377813223094611,
+     9.795991959830248],
+])
+_PLAIN_M3R3_B = np.array([
+    [-0.831547980155288, -0.7703306805269846, 0.5203961640490148],
+    [-0.877245551064478, 0.4352016718355882, 1.3616674010208303],
+    [0.07388803939335968, -0.3076647102252612, 0.7692125578697093],
+    [-0.37248761113718637, -0.7713217701295874, 0.2667369941314492],
+    [-1.2934967965160238, -0.25582293982517595, 0.16597651695816204],
+    [-0.009353883947047125, 0.6152913226398993, 0.0670236004787643],
+    [-0.05024018469194534, 0.6052182315337814, 0.7441755417359031],
+    [-1.0706413070744085, 0.5257813288652708, -0.7668966758280307],
+    [-0.038613934511250274, -0.42979249137695924, 0.25015891202263474],
+])
+_PLAIN_M3R3_C = np.array([
+    [10.495769664769107, -0.29424870669351744, -6.274525239903539, -3.551988628471437,
+     -1.8992335818893908, 7.412781790535546, -5.907869968526173, 2.636243779802214,
+     11.511306207187504],
+    [10.838731516583886, -0.570010026094758, -6.913487518590853, -3.5798809981022877,
+     -0.9242470231651497, 10.880208743242735, -5.844654125839101, 1.7848049945434057,
+     13.366517779955263],
+    [-4.021793042701787, -0.2135870338107996, 2.50162588304135, 0.905723689330827,
+     1.1668626916777716, -2.5400215790691307, 2.110535822824282, -0.9924300040724715,
+     -3.733501979045966],
+])
+
+
+def test_reduce_dominant_where_the_iterative_search_failed():
+    ss = StateSpace(_PLAIN_M3R3_A, _PLAIN_M3R3_B, _PLAIN_M3R3_C)
+    red, rep = reduce_dominant(ss)
+    assert rep.reduced_order == 6
+    assert rep.re_value <= rep.threshold
+    got = dominant_poles(ss, ss.n)
+    want = dominance_order(dense_pole_oracle(ss))
+    assert len(got) == ss.n
+    for g in got:
+        w = min(want, key=lambda q: abs(q.value - g.value))
+        assert g.value == pytest.approx(w.value, rel=1e-8)
+        assert g.dominance == pytest.approx(w.dominance, rel=1e-6)

@@ -205,6 +205,20 @@ def test_solvent_from_roots_defective():
         solvent_from_roots(P, [-1.0, -1.0])
 
 
+def test_solvent_from_roots_full_multiplicity():
+    # (s + 1)(s + 2) I: each root has multiplicity m and m latent vectors, so
+    # sigma_max of P(root) is as small as sigma_min
+    P = MatrixPolynomial([np.eye(2), 3 * np.eye(2), 2 * np.eye(2)])
+    assert_allclose(solvent_from_roots(P, [-1.0, -1.0]).matrix, -np.eye(2), atol=1e-12)
+
+
+def test_compute_complete_set_siso():
+    P = denominator_from_solvents([[[-1.0]], [[-2.0]], [[-3.0]]])
+    cs = compute_complete_set(P)
+    assert len(cs) == 3
+    assert_allclose(sorted(M[0, 0] for M in cs.matrices), [-3.0, -2.0, -1.0], atol=1e-8)
+
+
 def test_compute_complete_set_random(rng):
     for _ in range(4):
         m = int(rng.integers(1, 3))
