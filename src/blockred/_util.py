@@ -74,13 +74,53 @@ def is_conjugate_closed(values, tol=1e-8):
     return True
 
 
-def pair_distance(a, b):
-    """Greatest-per-element distance of an optimal matching of two multisets.
+def block_diag(*mats):
+    """Direct sum of 2-D arrays, complex when any of them is."""
+    mats = [np.asarray(x) for x in mats]
+    dtype = np.result_type(np.float64, *mats)
+    rows = sum(x.shape[0] for x in mats)
+    cols = sum(x.shape[1] for x in mats)
+    out = np.zeros((rows, cols), dtype=dtype)
+    r = c = 0
+    for x in mats:
+        out[r:r + x.shape[0], c:c + x.shape[1]] = x
+        r += x.shape[0]
+        c += x.shape[1]
+    return out
 
-    Returns inf when the multisets have different sizes.
+
+def _has_perfect_matching(allowed):
+    """Whether the boolean bipartite adjacency matrix has a perfect matching.
+
+    Kuhn's augmenting path search: every row in turn looks for a free column
+    or for a column whose owner can move to another allowed column.
     """
-    from scipy.optimize import linear_sum_assignment
+    n = allowed.shape[0]
+    owner = [-1] * n
+    neighbours = [[] for _ in range(n)]
+    for i, j in zip(*(x.tolist() for x in np.nonzero(allowed))):
+        neighbours[i].append(j)
 
+    def augment(i, seen):
+        for j in neighbours[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
+def pair_distance(a, b):
+    """Bottleneck distance of two multisets: over all one-to-one matchings,
+    the least possible greatest distance between matched elements.
+
+    The answer is one of the pairwise distances, so a binary search over
+    them, each tested for a perfect matching, finds it exactly.  Returns inf
+    when the multisets have different sizes.
+    """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
@@ -88,5 +128,17 @@ def pair_distance(a, b):
     if a.size == 0:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    # every element needs some partner, which bounds the answer from below
+    # and is the answer whenever the two multisets agree up to small errors
+    floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    if _has_perfect_matching(cost <= floor):
+        return float(floor)
+    levels = np.unique(cost[cost > floor])
+    lo, hi = 0, levels.size - 1  # the largest level always admits a matching
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])

@@ -13,7 +13,6 @@ diagonal blocks through it as well.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._util import cond2
 from .errors import (
@@ -92,9 +91,10 @@ def modal_form(a, b, c, eps_sing):
             np.zeros((c.shape[0], 0)), np.zeros((0, 0)),
         )
     try:
-        values, right = scipy.linalg.eig(a)
+        values, right = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    values = values.astype(complex, copy=False)  # numpy's are real when all are
     cond = cond2(right)
     if cond >= 1.0 / eps_sing:
         raise NonDiagonalizableBlock(f"eigenvector matrix condition {cond:.3e}")

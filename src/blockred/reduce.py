@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
 
-from ._util import is_conjugate_closed, realify
+from ._util import block_diag, is_conjugate_closed, realify
 from .errors import (
     AlreadyMinimal,
     ConjugateBreak,
@@ -46,6 +45,7 @@ from .metrics import (
     difference_system,
     h2_error,
     h2_norm,
+    hankel_singular_values,
     relative_error,
 )
 from .solvents import (
@@ -174,6 +174,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
         worst = float(np.max(full.poles().real))
         raise UnstableSystem(f"reduction needs a stable system (max Re pole {worst:.6g})")
 
+    full_hsv = hankel_singular_values(full)  # every guard compares against it
     current = fraction
     eliminated = []
     iterations = 0
@@ -210,7 +211,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
             current.feedthrough,
         )
         cand_ss = controller_canonical(candidate)
-        re_c = relative_error(full, difference_system(full, cand_ss), hankel_power)
+        re_c = relative_error(full_hsv, difference_system(full, cand_ss), hankel_power)
         _, gate_ok = _h2_gate(full, cand_ss, tol)
         if re_c > tol.re_threshold or not gate_ok:
             break  # roll back this elimination
@@ -405,7 +406,7 @@ def _assemble_modal_block(modes, indices, real_output=True):
     if not a_parts:
         return DiagonalBlock(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))
     return DiagonalBlock(
-        scipy.linalg.block_diag(*a_parts),
+        block_diag(*a_parts),
         np.vstack(b_parts),
         np.hstack(c_parts),
     )
@@ -474,6 +475,9 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
 
     dom = {i: _block_dominance(bd.blocks[i], tol.eps_sing)
            for i in range(len(bd.blocks))}
+    # every guard compares against the full spectrum, and with no block left
+    # unclaimed no guard runs
+    full_hsv = hankel_singular_values(css) if match.unmatched else None
     eliminated = []
     discard = set()
     re_val = 0.0
@@ -484,7 +488,7 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         nonlocal discard, re_val, iterations, breached
         iterations += 1
         trial = discard | {idx}
-        re_c = relative_error(css, _neglected(bd, trial), hankel_power)
+        re_c = relative_error(full_hsv, _neglected(bd, trial), hankel_power)
         kept_idx = [i for i in range(len(bd.blocks)) if i not in trial]
         _, gate_ok = _h2_gate(css, bd.select(kept_idx), tol)
         if re_c > tol.re_threshold or not gate_ok:
@@ -549,7 +553,7 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
             negl = BlockDiagonalRealization(
                 negl_blocks, np.zeros_like(bd.feedthrough), bd.io_shape
             )
-            re_c = relative_error(css, negl, hankel_power)
+            re_c = relative_error(full_hsv, negl, hankel_power)
             trial_blocks = tuple(
                 (kept_b if j == last else work[j])
                 for j in sorted(work)

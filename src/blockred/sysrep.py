@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from ._util import as_matrix, cond2, realify, sort_complex
+from ._util import as_matrix, block_diag, cond2, realify, sort_complex
 from .errors import (
     DimensionMismatch,
     ImproperFraction,
@@ -417,7 +416,7 @@ def recompose(bd):
     p, m = bd.io_shape
     if not bd.blocks:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), bd.feedthrough)
-    A = scipy.linalg.block_diag(*[b.a for b in bd.blocks])
+    A = block_diag(*[b.a for b in bd.blocks])
     B = np.vstack([b.b for b in bd.blocks])
     C = np.hstack([b.c for b in bd.blocks])
     return StateSpace(A, B, C, bd.feedthrough)

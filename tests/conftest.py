@@ -1,10 +1,13 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately avoid the code paths they check: the Lyapunov
-oracle solves the Kronecker-product linear system directly, the H2 oracle
+oracles solve the Kronecker-product linear system directly (one of them in
+exact rational arithmetic), the H2 oracle
 integrates the frequency response numerically, and transfer values come
 from plain dense solves.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,11 +134,41 @@ def probe_points(rng, count=20, scale=3.0):
 # -- oracles ------------------------------------------------------------------
 
 def lyapunov_oracle(a, q):
-    """Solve A X + X A^T + Q = 0 through the Kronecker-product system."""
+    """Solve A X + X A^H + Q = 0 through the Kronecker-product system."""
     n = a.shape[0]
-    big = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
+    big = np.kron(np.eye(n), np.conj(a)) + np.kron(a, np.eye(n))
     x = np.linalg.solve(big, -q.reshape(-1))
     return x.reshape(n, n)
+
+
+def lyapunov_exact(a, q):
+    """Solve A X + X A^T + Q = 0 for real A and Q in exact rational
+    arithmetic (Gauss-Jordan on the Kronecker system), then round to double.
+
+    Every double is a rational number, so the result is the correctly
+    rounded solution of the equation the arrays define.  Meant for n <= 6.
+    """
+    n = a.shape[0]
+    A = [[Fraction(float(v)) for v in row] for row in a]
+    size = n * n
+    M = [[Fraction(0)] * size + [Fraction(-float(q[i, j]))]
+         for i in range(n) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            row = M[i * n + j]
+            for k in range(n):
+                row[k * n + j] += A[i][k]  # (A X)_ij
+                row[i * n + k] += A[j][k]  # (X A^T)_ij
+    for c in range(size):
+        p = next(r for r in range(c, size) if M[r][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        pivot = M[c][c]
+        M[c] = [v / pivot for v in M[c]]
+        for r in range(size):
+            f = M[r][c]
+            if r != c and f != 0:
+                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return np.array([[float(M[i * n + j][size]) for j in range(n)] for i in range(n)])
 
 
 def transfer_oracle(ss, s):

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import blockred
 from blockred.cli import main
 from blockred.data import data_path
 from blockred.sysdoc import load_system
@@ -280,3 +287,38 @@ def test_bode_shape_mismatch_exit_2(tmp_path, capsys):
 def test_bode_bad_grid_exit_2(tmp_path, capsys):
     path = write(tmp_path, "first.sys", FIRST_ORDER)
     assert main(["bode", path, "--wmin", "10", "--wmax", "1"]) == 2
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from blockred.cli import main
+plant, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["validate", plant],
+    ["analyze", plant],
+    ["reduce", plant, "--method", "dominant", "--out", out + "/dominant.sys"],
+    ["reduce", plant, "--method", "latent", "--out", out + "/latent.sys"],
+    ["bode", plant, out + "/dominant.sys", "--points", "20", "--out", out + "/bode.csv"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+"""
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter, so that modules the test session imported do not count
+    env = dict(os.environ)
+    src = str(Path(blockred.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, fixture_path(), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["scipy"] == []

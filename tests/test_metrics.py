@@ -18,11 +18,14 @@ from blockred.metrics import (
     lyapunov_solve,
     relative_error,
 )
-from blockred.sysrep import StateSpace, mfd_from_state_space
+from blockred.matpoly import MatrixPolynomial
+from blockred.solvents import denominator_from_solvents
+from blockred.sysrep import RightMFD, StateSpace, controller_canonical, mfd_from_state_space
 
 from conftest import (
     h2_oracle,
     hankel_oracle,
+    lyapunov_exact,
     lyapunov_oracle,
     probe_points,
     random_stable_matrix,
@@ -46,6 +49,81 @@ def test_lyapunov_matches_kronecker_oracle(rng):
 def test_lyapunov_rejects_mismatch():
     with pytest.raises(DimensionMismatch):
         lyapunov_solve(-np.eye(2), np.eye(3))
+
+
+def test_lyapunov_complex_matrix(rng):
+    n = 5
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a - (float(np.max(np.linalg.eigvals(a).real)) + 0.5) * np.eye(n)
+    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    q = b @ b.conj().T
+    x = lyapunov_solve(a, q)
+    assert_allclose(x, lyapunov_oracle(a, q), rtol=1e-9, atol=1e-12)
+    assert_allclose(x, x.conj().T, rtol=0, atol=1e-14 * np.max(np.abs(x)))
+    assert_allclose(a @ x + x @ a.conj().T + q, 0.0, atol=1e-10)
+
+
+def test_lyapunov_jordan_block():
+    # a single defective eigenvalue: no eigenbasis, which the sign
+    # iteration does not need (-0.1 with n = 6 has condition 2e6)
+    for lam, n in ((-0.5, 4), (-2.0, 6), (-0.1, 6)):
+        a = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        q = np.outer(np.arange(1.0, n + 1), np.arange(1.0, n + 1)) + np.eye(n)
+        x = lyapunov_solve(a, q)
+        want = lyapunov_exact(a, q)
+        assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_gramians_of_ill_conditioned_controller_form(rng):
+    # block companion of a degree-5 denominator with solvent spectra from
+    # -0.2 to -16: condition numbers of A in the thousands
+    mats = []
+    for i in range(5):
+        t = rng.standard_normal((2, 2))
+        while np.linalg.cond(t) > 5.0:
+            t = rng.standard_normal((2, 2))
+        values = -0.2 * 3.0 ** i * rng.uniform(0.9, 1.1, size=2)
+        mats.append(t @ np.diag(values) @ np.linalg.inv(t))
+    D = denominator_from_solvents(mats)
+    N = MatrixPolynomial([rng.standard_normal((2, 2)) for _ in range(5)])
+    ss = controller_canonical(RightMFD(N, D))
+    assert np.linalg.cond(ss.A) > 1e3
+    g = gramians(ss)
+    for got, (a, w) in zip(
+        (g.controllability, g.observability),
+        ((ss.A, ss.B @ ss.B.T), (ss.A.T, ss.C.T @ ss.C)),
+    ):
+        want = lyapunov_oracle(a, w)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is a plain double on this platform")
+def test_lyapunov_refinement_reaches_the_rounded_solution():
+    # A = T diag(-0.1 .. -10) inv(T) with cond(T) near 1e3: condition 1e5,
+    # where the bare sign iteration is off by 2e-12 and the solution
+    # refined with an extended-precision residual is exact to rounding
+    rng = np.random.default_rng(125)
+    n = 6
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    T = U @ np.diag(np.logspace(0, -rng.uniform(2, 4), n)) @ V
+    a = T @ np.diag(-np.logspace(-1, 1, n)) @ np.linalg.inv(T)
+    b = rng.standard_normal((n, 2))
+    q = b @ b.T
+    want = lyapunov_exact(a, q)
+    assert np.linalg.norm(lyapunov_solve(a, q) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([0.5, -1.0]),  # unstable
+    np.array([[-1.0, 3.0], [0.0, 2.0]]),  # unstable, non-normal
+    np.diag([0.0, -1.0]),  # marginal: a zero eigenvalue
+    np.array([[0.0, 2.0], [-0.5, 0.0]]),  # marginal: eigenvalues +-i
+])
+def test_lyapunov_rejects_unstable_and_marginal(a):
+    with pytest.raises(UnstableSystem):
+        lyapunov_solve(a, np.eye(2))
 
 
 def test_gramian_defining_equations(rng):
@@ -129,6 +207,18 @@ def test_h2_error_properties(rng):
     assert e == pytest.approx(h2_oracle(difference_system(a, b)), rel=1e-6)
 
 
+def test_h2_error_matches_direct_sum_gramian(rng):
+    for _ in range(5):
+        a = random_stable_system(rng, int(rng.integers(1, 6)), 2, 3)
+        b = random_stable_system(rng, int(rng.integers(1, 6)), 2, 3)
+        d = difference_system(a, b)
+        want = np.sqrt(np.trace(d.C @ lyapunov_oracle(d.A, d.B @ d.B.T) @ d.C.T))
+        assert h2_error(a, b) == pytest.approx(want, rel=1e-9)
+    empty = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)))
+    assert h2_error(a, empty) == pytest.approx(h2_norm(a), rel=1e-12)
+    assert h2_error(a, a) == 0.0  # identical blocks cancel exactly
+
+
 def test_h2_error_feedthrough_mismatch(rng):
     a = random_stable_system(rng, 3, 2, 2)
     b = StateSpace(a.A, a.B, a.C, np.ones((2, 2)))
@@ -192,6 +282,14 @@ def test_relative_error_monotone(rng):
         r_weak = relative_error(full, weak, power)
         r_strong = relative_error(full, strong, power)
         assert 0.0 < r_weak < r_strong < 1.0
+
+
+def test_relative_error_reuses_full_spectrum(rng):
+    full = random_stable_system(rng, 6, 2, 2)
+    part = random_stable_system(rng, 2, 2, 2)
+    spectrum = hankel_singular_values(full)
+    for power in (2, 4):
+        assert relative_error(spectrum, part, power) == relative_error(full, part, power)
 
 
 def test_relative_error_rejects_bad_power(rng):

@@ -31,7 +31,8 @@ from blockred.sysrep import (
     StateSpace,
     mfd_from_state_space,
 )
-from blockred.metrics import h2_error, h2_norm
+from blockred import metrics, reduce
+from blockred.metrics import as_state_space, h2_error, h2_norm
 
 from conftest import hankel_oracle, planted_block_system, probe_points
 from test_dompoles import dense_pole_oracle
@@ -427,3 +428,32 @@ def test_reduce_dominant_where_the_iterative_search_failed():
         w = min(want, key=lambda q: abs(q.value - g.value))
         assert g.value == pytest.approx(w.value, rel=1e-8)
         assert g.dominance == pytest.approx(w.dominance, rel=1e-6)
+
+
+def test_pipelines_analyse_each_system_once(monkeypatch, rng):
+    # the guards compare every candidate against one full Hankel spectrum
+    seen = []
+    original = metrics.hankel_singular_values
+
+    def counting(system):
+        ss = as_state_space(system)
+        seen.append(b"".join(np.ascontiguousarray(x).tobytes() for x in (ss.A, ss.B, ss.C)))
+        return original(system)
+
+    for module in (metrics, reduce):  # relative_error and the pipelines
+        monkeypatch.setattr(module, "hankel_singular_values", counting)
+    ss = load_power_network(fixed=True)
+    D = denominator_from_solvents([np.diag([-1.0, -2.0]), np.diag([-40.0, -50.0])])
+    E = rng.standard_normal((2, 2))
+    frac = RightMFD(MatrixPolynomial([np.eye(2), np.diag([40.0, 50.0]) + 1e-3 * E]), D)
+    for run in (
+        lambda: reduce_dominant(ss),
+        lambda: reduce_dominant(ss, trim_eigen=True),
+        lambda: reduce_latent(frac),
+        lambda: reduce_latent(mfd_from_state_space(ss)),
+    ):
+        seen.clear()
+        _, rep = run()
+        assert rep.iterations >= 1
+        assert len(seen) == rep.iterations + 1  # the full system, then each candidate
+        assert len(set(seen)) == len(seen)
