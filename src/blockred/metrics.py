@@ -15,6 +15,11 @@ it solves defective and complex A as well, and equations that share a state
 matrix (the two gramians, the blocks of an H2 difference) share its
 inverses.  Solutions for an ill-conditioned A are refined once with an
 extended-precision residual.
+
+The reduction pipelines measure every candidate through one ErrorGuard per
+reduction: the error of a candidate is realized on the full system's own
+(A, B) with an output matrix of its own, so all candidates share one sign
+iteration and no error system is larger than the full one.
 """
 
 import math
@@ -74,10 +79,29 @@ def as_state_space(system):
     raise DimensionMismatch(f"unsupported system type {type(system).__name__}")
 
 
+STABILITY_MARGIN = 1e-10  # least distance of a stable pole from the axis, per unit of ||A||_F
+
+
+def _require_stable_values(poles, size, what):
+    """UnstableSystem unless every pole lies left of -STABILITY_MARGIN * size.
+
+    size is the Frobenius norm of the state matrix the poles belong to (or
+    derive from).  Rounding moves an eigenvalue of A by up to about
+    cond(V) * 1.1e-16 * ||A||, V being its eigenvectors, so a pole on the
+    axis may come out slightly stable; the margin makes such a pole count as
+    unstable instead of yielding a gramian of size 1e15.
+    """
+    worst = float(np.max(np.real(poles))) if len(poles) else -np.inf
+    if not worst < -STABILITY_MARGIN * size:
+        raise UnstableSystem(
+            f"{what} needs a stable system (max Re pole = {worst:.6g}, "
+            f"required below {-STABILITY_MARGIN * size:.3g})"
+        )
+
+
 def _require_stable(sys, what):
-    if not sys.is_stable():
-        worst = max(sys.poles().real) if sys.n else 0.0
-        raise UnstableSystem(f"{what} needs a stable system (max Re pole = {worst:.6g})")
+    if sys.n:
+        _require_stable_values(sys.poles(), float(np.linalg.norm(sys.A)), what)
 
 
 SIGN_MAX_STEPS = 100
@@ -162,14 +186,8 @@ def _replay(steps, i, j, w, dual):
     return 0.5 * g
 
 
-def _sign_solve(bases, terms):
-    """Solve a batch of Sylvester equations with stable coefficients.
-
-    bases lists non-empty square matrices; each term (i, j, W, dual) stands
-    for bases[i] X + X bases[j]^H + W = 0, or for a dual term
-    bases[i]^H X + X bases[j] + W = 0.  The bases run one sign iteration,
-    each inverted once per step, and every term is solved by replaying the
-    steps on W.  Returns the solutions X in the order of terms.
+def _solve_term(steps, conds, bases, term):
+    """The solution of term (i, j, W, dual) from the recorded steps of bases.
 
     The iteration is not backward stable: its error grows with the
     condition of the bases.  A solution that involves a base of Frobenius
@@ -177,18 +195,29 @@ def _sign_solve(bases, terms):
     extended precision (np.longdouble, 64-bit mantissa where the platform
     has it) and the same steps solve for the correction.
     """
+    i, j, w, dual = term
+    x = _replay(steps, i, j, w, dual)
+    if max(conds[i], conds[j]) > REFINE_COND:
+        left, right = (_ct(bases[i]), bases[j]) if dual else (bases[i], _ct(bases[j]))
+        wide = np.clongdouble if np.iscomplexobj(x) else np.longdouble
+        xw = x.astype(wide)
+        r = left.astype(wide) @ xw + xw @ right.astype(wide) + w
+        x = (xw + _replay(steps, i, j, r.astype(x.dtype), dual)).astype(x.dtype)
+    return x
+
+
+def _sign_solve(bases, terms):
+    """Solve a batch of Sylvester equations with stable coefficients.
+
+    bases lists non-empty square matrices; each term (i, j, W, dual) stands
+    for bases[i] X + X bases[j]^H + W = 0, or for a dual term
+    bases[i]^H X + X bases[j] + W = 0.  The bases run one sign iteration,
+    each inverted once per step, and every term is solved by replaying the
+    steps on W (see _solve_term).  Returns the solutions X in the order of
+    terms.
+    """
     steps, conds = _sign_steps(bases)
-    out = []
-    for i, j, w, dual in terms:
-        x = _replay(steps, i, j, w, dual)
-        if max(conds[i], conds[j]) > REFINE_COND:
-            left, right = (_ct(bases[i]), bases[j]) if dual else (bases[i], _ct(bases[j]))
-            wide = np.clongdouble if np.iscomplexobj(x) else np.longdouble
-            xw = x.astype(wide)
-            r = left.astype(wide) @ xw + xw @ right.astype(wide) + w
-            x = (xw + _replay(steps, i, j, r.astype(x.dtype), dual)).astype(x.dtype)
-        out.append(x)
-    return out
+    return [_solve_term(steps, conds, bases, term) for term in terms]
 
 
 def _gram(x):
@@ -199,9 +228,8 @@ def _gram(x):
 def lyapunov_solve(a, q):
     """Solve A X + X A^H + Q = 0 for Hermitian Q and stable A.
 
-    Raises UnstableSystem when A has an eigenvalue on the imaginary axis or
-    in the right half plane (or too close to the axis for the sign iteration
-    to settle).
+    Raises UnstableSystem when an eigenvalue of A lies in the right half
+    plane, on the imaginary axis or within STABILITY_MARGIN ||A||_F of it.
     """
     a = as_matrix(a, "A")
     q = as_matrix(q, "Q")
@@ -209,6 +237,7 @@ def lyapunov_solve(a, q):
         raise DimensionMismatch("A and Q must be square and equally sized")
     if a.shape[0] == 0:
         return np.zeros((0, 0))
+    _require_stable_values(np.linalg.eigvals(a), float(np.linalg.norm(a)), "a Lyapunov solve")
     (x,) = _sign_solve([a], [(0, 0, q, False)])
     return 0.5 * (x + _ct(x))
 
@@ -294,36 +323,86 @@ def h2_error(a, b):
     return float(np.sqrt(max(val, 0.0)))
 
 
+def _square_root(P):
+    """A factor S with P = S S^H, from the eigendecomposition of P."""
+    w, U = np.linalg.eigh(P)
+    return U * np.sqrt(np.clip(w, 0.0, None))
+
+
+def _hankel(S, Q):
+    """Hankel singular values of a system with gramians S S^H and Q: the
+    roots of the eigenvalues of S^H Q S, largest first."""
+    M = _ct(S) @ Q @ S
+    ev = np.clip(np.linalg.eigvalsh(0.5 * (M + _ct(M))), 0.0, None)
+    return HankelSpectrum(np.ascontiguousarray(np.sqrt(ev)[::-1]))
+
+
 def hankel_singular_values(system):
     """Hankel singular values from the gramian pair, largest first."""
     sys = as_state_space(system)
     g = gramians(sys)
     if sys.n == 0:
         return HankelSpectrum(np.zeros(0))
-    w, U = np.linalg.eigh(g.controllability)
-    w = np.clip(w, 0.0, None)
-    S = U * np.sqrt(w)
-    M = S.T @ g.observability @ S
-    ev = np.linalg.eigvalsh(0.5 * (M + M.T))
-    ev = np.clip(ev, 0.0, None)
-    sig = np.sqrt(ev)[::-1]
-    return HankelSpectrum(np.ascontiguousarray(sig))
+    return _hankel(_square_root(g.controllability), g.observability)
+
+
+class ErrorGuard:
+    """Error measures of the candidate reductions of one stable system.
+
+    A candidate is passed in as the output matrix C_e of its error system on
+    the full system's (A, B): G - G_c = C_e (sI - A)^-1 B.  The sign
+    iteration runs on A once, when the guard is built, and yields the
+    controllability gramian P with a factor P = S S^H, the full system's
+    Hankel spectrum and its H2 norm.  A candidate's observability gramian
+    Q_e then comes from replaying the recorded steps on C_e^H C_e (no new
+    inverse), its Hankel values from S^H Q_e S and its H2 norm from
+    tr(C_e P C_e^H).
+    """
+
+    def __init__(self, system):
+        sys = as_state_space(system)
+        _require_stable(sys, "reduction")
+        self._bases = [sys.A]
+        self._size = float(np.linalg.norm(sys.A))
+        self._steps, self._conds = _sign_steps(self._bases)
+        self._P = self._solve(_gram(sys.B), False)
+        self._S = _square_root(self._P)
+        self.spectrum = _hankel(self._S, self._solve(_gram(_ct(sys.C)), True))
+        self.h2_norm = self.h2_error(sys.C)
+
+    def _solve(self, w, dual):
+        x = _solve_term(self._steps, self._conds, self._bases, (0, 0, w, dual))
+        return 0.5 * (x + _ct(x))
+
+    def hankel(self, c_err):
+        """Hankel spectrum of the error system with output matrix c_err."""
+        return _hankel(self._S, self._solve(_gram(_ct(c_err)), True))
+
+    def h2_error(self, c_err):
+        """H2 norm of the error system with output matrix c_err."""
+        return float(np.sqrt(max(_output_power(c_err, self._P, c_err), 0.0)))
+
+    def require_stable(self, poles, what):
+        """UnstableSystem unless the poles of a candidate are stable by the
+        margin the full system's state matrix sets."""
+        _require_stable_values(poles, self._size, what)
 
 
 def relative_error(full, neglected, hankel_power=4):
     """RE: root of the Hankel power-sum ratio of neglected over full.
 
-    hankel_power selects the exponent (2 or 4) applied to both spectra.  full
-    may also be the HankelSpectrum of the full system, so that a loop that
-    tries many neglected parts against one system analyses it once.
+    hankel_power selects the exponent (2 or 4) applied to both spectra.  Each
+    of full and neglected may also be given as its HankelSpectrum, so that a
+    loop that tries many neglected parts against one system analyses it once.
     """
     if hankel_power not in (2, 4):
         raise ValueError(f"hankel_power must be 2 or 4, got {hankel_power}")
     if not isinstance(full, HankelSpectrum):
         full = hankel_singular_values(full)
-    sig_neg = hankel_singular_values(neglected).values
+    if not isinstance(neglected, HankelSpectrum):
+        neglected = hankel_singular_values(neglected)
     denom = full.power_sum(hankel_power)
-    numer = float(np.sum(sig_neg ** hankel_power))
+    numer = neglected.power_sum(hankel_power)
     if denom == 0.0:
         return 0.0 if numer == 0.0 else np.inf
     return float(np.sqrt(numer / denom))

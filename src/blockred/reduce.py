@@ -17,7 +17,12 @@ Two pipelines:
   as well.
 
 Every elimination is guarded by the relative error RE of the neglected part
-against the full system (and optionally by a relative H2 error gate).
+against the full system (and optionally by a relative H2 error gate).  Both
+are read from one metrics.ErrorGuard per reduction, built on the full
+controller form: each candidate's error system is realized on that form's
+own (A, B) through an output matrix (for a latent candidate the numerator
+difference over the full denominator, for discarded blocks their outputs
+taken back through the block Vandermonde matrix).
 """
 
 from dataclasses import dataclass, field
@@ -36,18 +41,10 @@ from .errors import (
     NoEliminableSolvent,
     NonDiagonalizableBlock,
     NotALatentRoot,
-    UnstableSystem,
 )
 from .dompoles import dominant_poles, modal_form
-from .matpoly import MatrixPolynomial
-from .metrics import (
-    as_state_space,
-    difference_system,
-    h2_error,
-    h2_norm,
-    hankel_singular_values,
-    relative_error,
-)
+from .matpoly import MatrixPolynomial, mul_linear, poly_mul
+from .metrics import ErrorGuard, _require_stable, as_state_space, h2_error, relative_error
 from .solvents import (
     _cluster_roots,
     _conjugate_units,
@@ -58,9 +55,9 @@ from .sysrep import (
     BlockDiagonalRealization,
     DiagonalBlock,
     RightMFD,
-    StateSpace,
     block_diagonalize,
     controller_canonical,
+    controller_output,
     mfd_from_state_space,
     recompose,
 )
@@ -116,24 +113,21 @@ def _fmt_values(values):
     return ", ".join(_fmt_value(z) for z in np.asarray(values, dtype=complex).ravel())
 
 
-def _strip_feedthrough(sys):
-    return StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D))
-
-
-def _h2_gate(full, candidate, tol):
-    """Relative H2 error of a candidate, or None when no gate is configured."""
+def _h2_gate(guard, c_err, tol):
+    """Whether the candidate with error output c_err passes the relative H2
+    gate; always true when no gate is configured."""
     if tol.h2_threshold is None:
-        return None, True
-    err = h2_error(full, candidate)
-    base = h2_norm(_strip_feedthrough(as_state_space(full)))
+        return True
+    err, base = guard.h2_error(c_err), guard.h2_norm
     rel = np.inf if base == 0.0 and err > 0.0 else (0.0 if base == 0.0 else err / base)
-    return rel, rel <= tol.h2_threshold
+    return rel <= tol.h2_threshold
 
 
 # -- method 1: latent root elimination on the matrix fraction -----------------
 
 def _elimination_candidates(D, tol, limit=200):
-    """Conjugate-closed root selections of size m, leftmost roots first."""
+    """Conjugate-closed root selections of size m, leftmost roots first,
+    each with the latent roots it leaves behind."""
     import itertools
 
     m = D.block_size
@@ -147,11 +141,11 @@ def _elimination_candidates(D, tol, limit=200):
         for combo in itertools.combinations(range(len(units)), k):
             if sum(sizes[c] for c in combo) != m:
                 continue
-            sel = []
-            for c in combo:
+            sel, rest = [], []
+            for c in range(len(units)):
                 for z, mult in units[c]:
-                    sel.extend([z] * mult)
-            yield sel
+                    (sel if c in combo else rest).extend([z] * mult)
+            yield sel, rest
             count += 1
             if count >= limit:
                 return
@@ -170,21 +164,22 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
     if fraction.D.degree <= 1:
         raise AlreadyMinimal("denominator degree is already 1")
     full = controller_canonical(fraction)
-    if not full.is_stable():
-        worst = float(np.max(full.poles().real))
-        raise UnstableSystem(f"reduction needs a stable system (max Re pole {worst:.6g})")
-
-    full_hsv = hankel_singular_values(full)  # every guard compares against it
+    guard = ErrorGuard(full)  # raises UnstableSystem unless full is stable
+    r = fraction.D.degree
+    # D = D_c Q with Q(s) = (sI - R_k) ... (sI - R_1) the factors divided out so
+    # far, so G - G_c = (N - N_c Q) inv(D): an output matrix on the full form
+    divided = MatrixPolynomial([np.eye(fraction.m)])
     current = fraction
     eliminated = []
     iterations = 0
     neglected_norm = 0.0
     re_val = 0.0
+    h2_abs = 0.0
 
     while current.D.degree > 1:
         iterations += 1
         solvent = None
-        for sel in _elimination_candidates(current.D, tol):
+        for sel, rest in _elimination_candidates(current.D, tol):
             try:
                 solvent = solvent_from_roots(current.D, sel, tol.tau_null, tol.eps_sing)
                 break
@@ -196,6 +191,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
                     "no conjugate-closed latent root group spans a solvent"
                 )
             break
+        guard.require_stable(rest, "the reduced fraction")
 
         newD = current.D.block_divide(solvent.matrix, "right").quotient
         if current.N.degree < newD.degree:
@@ -210,17 +206,18 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
             MatrixPolynomial([realify(c, 1e-10) for c in newD.coeffs]),
             current.feedthrough,
         )
-        cand_ss = controller_canonical(candidate)
-        re_c = relative_error(full_hsv, difference_system(full, cand_ss), hankel_power)
-        _, gate_ok = _h2_gate(full, cand_ss, tol)
-        if re_c > tol.re_threshold or not gate_ok:
+        trial = mul_linear(divided, solvent.matrix, "left")
+        c_err = full.C - controller_output(poly_mul(candidate.N, trial), r)
+        re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
+        if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
             break  # roll back this elimination
         current = candidate
+        divided = trial
         re_val = re_c
+        h2_abs = guard.h2_error(c_err)
         neglected_norm += rem_norm
         eliminated.append(f"solvent eigenvalues [{_fmt_values(solvent.eigenvalues)}]")
 
-    h2_abs = h2_error(full, controller_canonical(current)) if eliminated else 0.0
     report = ReductionReport(
         method="latent",
         original_order=fraction.order,
@@ -281,12 +278,36 @@ def _block_dominance(block, eps_sing=1e-10):
     return float(np.max(modes.dominance, initial=0.0))
 
 
-def _neglected(bd, indices):
-    """The discarded blocks as a strictly proper system."""
-    sel = bd.select(sorted(indices))
-    return BlockDiagonalRealization(
-        sel.blocks, np.zeros_like(bd.feedthrough), bd.io_shape
-    )
+def _error_output(bd, vandermonde, parts):
+    """Output matrix of the neglected parts of bd's blocks on the controller
+    form that the block Vandermonde matrix V decouples into bd.
+
+    parts maps a block index to the output matrix of its neglected part on
+    that block's states (the block's own c when the whole block goes).  In
+    the decoupled coordinates z = inv(V) x the neglected parts are observed
+    through those columns alone, so on the controller form through C_z inv(V).
+    """
+    edges = np.cumsum([0] + [blk.size for blk in bd.blocks])
+    c = np.zeros((bd.p, bd.n), dtype=np.result_type(vandermonde, *parts.values()))
+    for i, part in parts.items():
+        c[:, edges[i]:edges[i + 1]] = part
+    return np.linalg.solve(vandermonde.T, c.T).T
+
+
+def _take_modes(values, drop_values, taken=None):
+    """Mask of the modes dropped with drop_values: for each value the nearest
+    mode not yet in the mask `taken` (which is left unchanged)."""
+    taken = np.zeros(values.size, dtype=bool) if taken is None else taken.copy()
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    for v in drop_values:
+        dist = np.where(taken, np.inf, np.abs(values - v))
+        best = int(np.argmin(dist)) if dist.size else None
+        if best is None or dist[best] > 1e-6 * scale:
+            raise NotALatentRoot(
+                f"{_fmt_value(v)} is not an eigenvalue of this block"
+            )
+        taken[best] = True
+    return taken
 
 
 def _split_block_values(block, drop_values, eps_sing=1e-10):
@@ -304,16 +325,7 @@ def _split_block_values(block, drop_values, eps_sing=1e-10):
     if real_block and not is_conjugate_closed(drop_values):
         raise ConjugateBreak("dropped eigenvalues must form conjugate pairs")
     modes = modal_form(block.a, block.b, block.c, eps_sing)
-    scale = max(1.0, float(np.max(np.abs(modes.values), initial=0.0)))
-    taken = np.zeros(modes.values.size, dtype=bool)
-    for v in drop_values:
-        dist = np.where(taken, np.inf, np.abs(modes.values - v))
-        best = int(np.argmin(dist)) if dist.size else None
-        if best is None or dist[best] > 1e-6 * scale:
-            raise NotALatentRoot(
-                f"{_fmt_value(v)} is not an eigenvalue of this block"
-            )
-        taken[best] = True
+    taken = _take_modes(modes.values, drop_values)
     return (
         _assemble_modal_block(modes, np.flatnonzero(~taken), real_block),
         _assemble_modal_block(modes, np.flatnonzero(taken), real_block),
@@ -452,11 +464,7 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         ss_in = as_state_space(sys)
         frac = mfd_from_state_space(ss_in, tol.eps_sing)
     css = controller_canonical(frac)
-    if not css.is_stable():
-        worst = float(np.max(css.poles().real))
-        raise UnstableSystem(
-            f"reduction needs a stable system (max Re pole {worst:.6g})"
-        )
+    _require_stable(css, "reduction")
     cset = compute_complete_set(
         frac.D,
         eps_sing=tol.eps_sing,
@@ -475,9 +483,8 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
 
     dom = {i: _block_dominance(bd.blocks[i], tol.eps_sing)
            for i in range(len(bd.blocks))}
-    # every guard compares against the full spectrum, and with no block left
-    # unclaimed no guard runs
-    full_hsv = hankel_singular_values(css) if match.unmatched else None
+    # with no block left unclaimed no guard runs
+    guard = ErrorGuard(css) if match.unmatched else None
     eliminated = []
     discard = set()
     re_val = 0.0
@@ -488,10 +495,9 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         nonlocal discard, re_val, iterations, breached
         iterations += 1
         trial = discard | {idx}
-        re_c = relative_error(full_hsv, _neglected(bd, trial), hankel_power)
-        kept_idx = [i for i in range(len(bd.blocks)) if i not in trial]
-        _, gate_ok = _h2_gate(css, bd.select(kept_idx), tol)
-        if re_c > tol.re_threshold or not gate_ok:
+        c_err = _error_output(bd, cset.vandermonde, {i: bd.blocks[i].c for i in trial})
+        re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
+        if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
             breached = True
             return False
         discard = trial
@@ -536,6 +542,7 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
                         best = max(best, d)
             return best
 
+        trimmed = np.zeros(len(vals), dtype=bool)  # modes of block `last` dropped so far
         for u in sorted(units, key=unit_dominance):
             drop_vals = []
             for z, mult in u:
@@ -544,6 +551,7 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
                 kept_b, dropped_b = _split_block_values(
                     work[last], drop_vals, tol.eps_sing
                 )
+                taken = _take_modes(modes.values, drop_vals, trimmed)
             except (ConjugateBreak, NotALatentRoot,
                     NonDiagonalizableBlock, DegenerateEigenvector):
                 continue
@@ -553,17 +561,17 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
             negl = BlockDiagonalRealization(
                 negl_blocks, np.zeros_like(bd.feedthrough), bd.io_shape
             )
-            re_c = relative_error(full_hsv, negl, hankel_power)
-            trial_blocks = tuple(
-                (kept_b if j == last else work[j])
-                for j in sorted(work)
-                if (kept_b if j == last else work[j]).size > 0
-            )
-            cand = BlockDiagonalRealization(trial_blocks, bd.feedthrough, bd.io_shape)
-            _, gate_ok = _h2_gate(css, cand, tol)
-            if re_c > tol.re_threshold or not gate_ok:
+            re_c = relative_error(guard.spectrum, negl, hankel_power)
+            # the dropped modes of block `last` are observed through c times
+            # their spectral projector, sum over them of outputs[:, i] rows[i]
+            dropped_c = modes.outputs[:, taken] @ modes.rows[taken]
+            parts = {i: bd.blocks[i].c for i in discard}
+            parts[last] = dropped_c.real if real_block else dropped_c
+            if re_c > tol.re_threshold or not _h2_gate(
+                    guard, _error_output(bd, cset.vandermonde, parts), tol):
                 breached = True
                 break
+            trimmed = taken
             work[last] = kept_b
             extra_neglected.append(dropped_b)
             re_val = re_c

@@ -300,12 +300,20 @@ def controller_canonical(f):
     A = f.D.companion()
     B = np.zeros((n, m))
     B[(r - 1) * m:, :] = np.eye(m)
-    C = np.zeros((f.p, n), dtype=f.N.coeffs[0].dtype)
-    dn = f.N.degree
-    for i in range(r):  # ascending power i
-        if i <= dn:
-            C[:, i * m:(i + 1) * m] = f.N.coeffs[dn - i]
+    C = controller_output(f.N, r)
     return StateSpace(realify(A, 1e-14), B, realify(C, 1e-14), f.feedthrough)
+
+
+def controller_output(N, degree):
+    """Output matrix that realizes N(s) inv(D(s)) on the block controller
+    form of a monic D of the given degree (deg N < degree): the numerator
+    coefficients by ascending power."""
+    m = N.cols
+    dn = N.degree
+    C = np.zeros((N.rows, degree * m), dtype=N.coeffs[0].dtype)
+    for i in range(dn + 1):  # ascending power i
+        C[:, i * m:(i + 1) * m] = N.coeffs[dn - i]
+    return C
 
 
 def _controller_structure_error(Abar, m, r):

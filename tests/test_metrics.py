@@ -9,6 +9,8 @@ from blockred.errors import (
     UnstableSystem,
 )
 from blockred.metrics import (
+    STABILITY_MARGIN,
+    ErrorGuard,
     bode_samples,
     difference_system,
     gramians,
@@ -124,6 +126,22 @@ def test_lyapunov_refinement_reaches_the_rounded_solution():
 def test_lyapunov_rejects_unstable_and_marginal(a):
     with pytest.raises(UnstableSystem):
         lyapunov_solve(a, np.eye(2))
+
+
+def test_numerically_marginal_state_matrices_are_unstable():
+    # a zero eigenvalue behind a random similarity: rounding moves it up to
+    # 1.4e-14 ||A||_F to either side of the axis, and on the stable side the
+    # sign iteration used to return gramians with entries near 5e15
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        t = rng.standard_normal((4, 4))
+        a = t @ np.diag([0.0, -1.0, -2.0, -3.0]) @ np.linalg.inv(t)
+        assert np.max(np.linalg.eigvals(a).real) > -STABILITY_MARGIN * np.linalg.norm(a)
+        ss = StateSpace(a, np.eye(4), np.eye(4))
+        for solve in (lambda: lyapunov_solve(a, np.eye(4)), lambda: gramians(ss),
+                      lambda: ErrorGuard(ss)):
+            with pytest.raises(UnstableSystem):
+                solve()
 
 
 def test_gramian_defining_equations(rng):
@@ -290,6 +308,28 @@ def test_relative_error_reuses_full_spectrum(rng):
     spectrum = hankel_singular_values(full)
     for power in (2, 4):
         assert relative_error(spectrum, part, power) == relative_error(full, part, power)
+        assert relative_error(spectrum, hankel_singular_values(part), power) == (
+            relative_error(full, part, power))
+
+
+def test_error_guard_matches_the_oracles(rng):
+    ss = random_stable_system(rng, 6, 2, 3)
+    guard = ErrorGuard(ss)
+    assert np.array_equal(guard.spectrum.values, hankel_singular_values(ss).values)
+    assert guard.h2_norm == pytest.approx(h2_norm(ss), rel=1e-12)
+    P = lyapunov_oracle(ss.A, ss.B @ ss.B.T)
+    for c_err in (rng.standard_normal((3, 6)), rng.standard_normal((1, 6)),
+                  rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))):
+        err = StateSpace(ss.A, ss.B, c_err)
+        Q = lyapunov_oracle(ss.A.conj().T, c_err.conj().T @ c_err)
+        want = np.sort(np.sqrt(np.clip(np.linalg.eigvals(P @ Q).real, 0.0, None)))[::-1]
+        got = guard.hankel(c_err).values
+        assert_allclose(got, want, rtol=1e-9, atol=1e-12 * want[0])
+        if not np.iscomplexobj(c_err):
+            assert_allclose(got, hankel_singular_values(err).values, rtol=1e-9,
+                            atol=1e-12 * want[0])
+        assert guard.h2_error(c_err) == pytest.approx(
+            np.sqrt(np.trace(c_err @ P @ c_err.conj().T).real), rel=1e-10)
 
 
 def test_relative_error_rejects_bad_power(rng):

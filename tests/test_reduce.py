@@ -8,7 +8,7 @@ from blockred.data import (
     reference_dominant_poles,
     reference_solvents,
 )
-from blockred.dompoles import dominance_order, dominant_poles
+from blockred.dompoles import dominance_order, dominant_poles, modal_form
 from blockred.errors import (
     AlreadyMinimal,
     ConjugateBreak,
@@ -23,18 +23,24 @@ from blockred.reduce import (
     reduce_latent,
     trim_subsystem_eigen,
 )
-from blockred.solvents import denominator_from_solvents, validate_complete_set
+from blockred.solvents import (
+    compute_complete_set,
+    denominator_from_solvents,
+    validate_complete_set,
+)
 from blockred.sysrep import (
     BlockDiagonalRealization,
     DiagonalBlock,
     RightMFD,
     StateSpace,
+    block_diagonalize,
+    controller_canonical,
     mfd_from_state_space,
 )
 from blockred import metrics, reduce
-from blockred.metrics import as_state_space, h2_error, h2_norm
+from blockred.metrics import h2_error, h2_norm
 
-from conftest import hankel_oracle, planted_block_system, probe_points
+from conftest import hankel_oracle, lyapunov_oracle, planted_block_system, probe_points
 from test_dompoles import dense_pole_oracle
 
 
@@ -430,30 +436,164 @@ def test_reduce_dominant_where_the_iterative_search_failed():
         assert g.dominance == pytest.approx(w.dominance, rel=1e-6)
 
 
-def test_pipelines_analyse_each_system_once(monkeypatch, rng):
-    # the guards compare every candidate against one full Hankel spectrum
-    seen = []
-    original = metrics.hankel_singular_values
+def _two_step_fraction():
+    """m = 2, r = 3 fraction whose latent reduction (at RE threshold 0.05)
+    eliminates the fast and then the middle solvent: the first step leaves
+    the numerator undivided (its degree 1 is below the quotient's 2), the
+    second divides it, leaving a remainder of norm 1.3e-3."""
+    D = denominator_from_solvents(
+        [np.diag([-0.05, -0.08]), np.diag([-0.5, -0.6]), np.diag([-1.0, -1.1])]
+    )
+    n1 = np.array([[0.02, 0.01], [-0.01, 0.03]])
+    n0 = n1 @ np.diag([0.5, 0.6]) + 1e-3 * np.array([[1.0, 0.3], [-0.2, 0.8]])
+    return RightMFD(MatrixPolynomial([n1, n0]), D)
 
-    def counting(system):
-        ss = as_state_space(system)
-        seen.append(b"".join(np.ascontiguousarray(x).tobytes() for x in (ss.A, ss.B, ss.C)))
-        return original(system)
 
-    for module in (metrics, reduce):  # relative_error and the pipelines
-        monkeypatch.setattr(module, "hankel_singular_values", counting)
+def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
+    # every guard attempt reads the one ErrorGuard of its reduction, built
+    # with a single sign iteration on the full controller form; a dominant
+    # reduction adds one for its reported H2 error, and one per eigenvalue
+    # trim, whose RE still analyses the neglected part on its own
+    calls = []
+    original = metrics._sign_steps
+
+    def counting(bases):
+        calls.append(len(bases))
+        return original(bases)
+
+    monkeypatch.setattr(metrics, "_sign_steps", counting)
     ss = load_power_network(fixed=True)
+    runs = {
+        "dominant": lambda: reduce_dominant(ss),
+        "trim": lambda: reduce_dominant(ss, trim_eigen=True),
+        "latent": lambda: reduce_latent(_two_step_fraction(), Tolerances(re_threshold=0.05)),
+        "latent-network": lambda: reduce_latent(mfd_from_state_space(ss)),
+    }
+    reports, counts = {}, {}
+    for name, run in runs.items():
+        calls.clear()
+        _, reports[name] = run()
+        counts[name] = len(calls)
+    trims = reports["trim"].iterations - reports["dominant"].iterations
+    assert reports["dominant"].iterations == 2 and trims == 2
+    assert reports["latent"].iterations == 2 and len(reports["latent"].eliminated) == 2
+    assert reports["latent-network"].iterations == 1
+    assert counts == {"dominant": 2, "trim": 2 + trims, "latent": 1, "latent-network": 1}
+
+
+def test_h2_gate_reads_the_full_norm_from_the_guard(monkeypatch):
+    # the relative H2 gate divides by the full system's H2 norm, which the
+    # guard holds: setting the gate adds no H2 norm and no sign iteration
+    ss = load_power_network(fixed=True)
+    norms, steps = [], []
+    original_norm, original_steps = metrics.h2_norm, metrics._sign_steps
+
+    def counting_norm(system):
+        norms.append(1)
+        return original_norm(system)
+
+    def counting_steps(bases):
+        steps.append(1)
+        return original_steps(bases)
+
+    monkeypatch.setattr(metrics, "h2_norm", counting_norm)
+    monkeypatch.setattr(reduce, "h2_norm", counting_norm, raising=False)
+    monkeypatch.setattr(metrics, "_sign_steps", counting_steps)
+
+    def run(h2_threshold):
+        norms.clear()
+        steps.clear()
+        _, rep = reduce_dominant(ss, Tolerances(h2_threshold=h2_threshold), trim_eigen=True)
+        return rep, len(norms), len(steps)
+
+    gated, gated_norms, gated_steps = run(0.5)
+    free, _, free_steps = run(None)
+    assert gated.iterations == 4  # two block attempts, two eigenvalue trims
+    assert gated.eliminated == free.eliminated
+    assert gated_norms == 0
+    assert gated_steps == free_steps
+
+
+def test_h2_gate_measures_each_candidate():
+    # the last accepted candidate is the reduced model, whose H2 error the
+    # report recomputes end to end; a gate just above its relative error
+    # accepts it, one just below rolls the last step back
+    ss = load_power_network(fixed=True)
+    full_norm = h2_norm(ss)
+    for trim_eigen, order, rollback in ((False, 6, 8), (True, 5, 6)):
+        _, free = reduce_dominant(ss, trim_eigen=trim_eigen)
+        assert free.reduced_order == order
+        rel = free.h2_error / full_norm
+        for factor, want in ((1.0 + 1e-6, order), (1.0 - 1e-6, rollback)):
+            _, rep = reduce_dominant(
+                ss, Tolerances(h2_threshold=rel * factor), trim_eigen=trim_eigen
+            )
+            assert rep.reduced_order == want
+
+
+def test_reduce_latent_guard_matches_the_direct_sum(rng):
+    # RE and H2 of the order-n error realization against the direct sum of
+    # the full and reduced controller forms, analysed by Kronecker solves
+    f = _two_step_fraction()
+    red, rep = reduce_latent(f, Tolerances(re_threshold=0.05))
+    assert len(rep.eliminated) == 2 and rep.reduced_order == 2
+    full, cand = controller_canonical(f), controller_canonical(red)
+    err = StateSpace(scipy.linalg.block_diag(full.A, cand.A), np.vstack([full.B, cand.B]),
+                     np.hstack([full.C, -cand.C]))
+    want_re = np.sqrt(np.sum(hankel_oracle(err) ** 4) / np.sum(hankel_oracle(full) ** 4))
+    P = lyapunov_oracle(err.A, err.B @ err.B.T)
+    want_h2 = np.sqrt(np.trace(err.C @ P @ err.C.T))
+    assert rep.neglected_numerator_norm > 1e-3
+    assert 1e-3 < want_re < 0.05
+    assert rep.re_value == pytest.approx(want_re, rel=1e-8)
+    assert rep.h2_error == pytest.approx(want_h2, rel=1e-8)
+
+
+def test_reduce_latent_rejects_an_unstable_candidate(monkeypatch):
+    # the guard never looks at a candidate's state matrix, so the latent roots
+    # a candidate keeps are checked on their own; a drift of the kept root -1
+    # to +1, as rounding in the quotient could cause, must not pass
     D = denominator_from_solvents([np.diag([-1.0, -2.0]), np.diag([-40.0, -50.0])])
-    E = rng.standard_normal((2, 2))
-    frac = RightMFD(MatrixPolynomial([np.eye(2), np.diag([40.0, 50.0]) + 1e-3 * E]), D)
-    for run in (
-        lambda: reduce_dominant(ss),
-        lambda: reduce_dominant(ss, trim_eigen=True),
-        lambda: reduce_latent(frac),
-        lambda: reduce_latent(mfd_from_state_space(ss)),
-    ):
-        seen.clear()
-        _, rep = run()
-        assert rep.iterations >= 1
-        assert len(seen) == rep.iterations + 1  # the full system, then each candidate
-        assert len(set(seen)) == len(seen)
+    f = RightMFD(MatrixPolynomial([np.eye(2)]), D)
+    original = MatrixPolynomial.latent_roots
+
+    def drifted(self):
+        roots = original(self)
+        return np.where(np.abs(roots + 1.0) < 1e-9, 1.0 + 0.0j, roots)
+
+    reduce_latent(f, Tolerances(re_threshold=10.0))
+    monkeypatch.setattr(MatrixPolynomial, "latent_roots", drifted)
+    with pytest.raises(UnstableSystem):
+        reduce_latent(f, Tolerances(re_threshold=10.0))
+
+
+def test_error_output_realizes_the_neglected_parts(rng):
+    # C_e on the controller form's (A, B) against the transfer of the parts
+    # it stands for: whole discarded blocks, and modes dropped from a block
+    D = denominator_from_solvents(
+        [np.diag([-1.0, -2.0]), np.array([[-3.0, 4.0], [-4.0, -3.0]]), np.diag([-9.0, -12.0])]
+    )
+    f = RightMFD(MatrixPolynomial([rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
+                                   rng.standard_normal((3, 2))]), D)
+    css = controller_canonical(f)
+    cset = compute_complete_set(D)
+    bd = block_diagonalize(css, cset)
+    for discard in ({0}, {1}, {0, 2}, {0, 1, 2}):
+        c_err = reduce._error_output(bd, cset.vandermonde, {i: bd.blocks[i].c for i in discard})
+        err = StateSpace(css.A, css.B, c_err)
+        for s in probe_points(rng, 5):
+            want = sum(bd.select([i]).transfer(s) for i in discard)
+            assert_allclose(err.transfer(s), want, rtol=1e-9, atol=1e-12)
+    # block k holds -9 and -12; -12 goes, and so does a whole block j
+    k = next(i for i, blk in enumerate(bd.blocks) if abs(blk.eigenvalues[0] + 12.0) < 1e-6)
+    j = 0 if k else 1
+    block = bd.blocks[k]
+    modes = modal_form(block.a, block.b, block.c, 1e-10)
+    taken = reduce._take_modes(modes.values, [-12.0])
+    parts = {j: bd.blocks[j].c, k: (modes.outputs[:, taken] @ modes.rows[taken]).real}
+    err = StateSpace(css.A, css.B, reduce._error_output(bd, cset.vandermonde, parts))
+    neglected = BlockDiagonalRealization(
+        (bd.blocks[j], reduce._split_block_values(block, [-12.0])[1])
+    )
+    for s in probe_points(rng, 5):
+        assert_allclose(err.transfer(s), neglected.transfer(s), rtol=1e-9, atol=1e-12)
