@@ -9,11 +9,9 @@ def as_matrix(a, name="matrix"):
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
-    if np.iscomplexobj(arr):
-        return arr.astype(np.complex128)
-    return arr.astype(np.float64)
+    return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
 
 
 def realify(a, tol=1e-8):
@@ -25,6 +23,26 @@ def realify(a, tol=1e-8):
     if a.size == 0 or np.max(np.abs(a.imag)) <= tol * scale:
         return np.ascontiguousarray(a.real)
     return a
+
+
+def realify_each(stack, tol=1e-8):
+    """realify applied to every matrix of a (k, p, m) stack at once.
+
+    Each matrix's imaginary part is compared with its own real part.  The
+    result is real when every imaginary part is negligible; otherwise it
+    stays complex, with the negligible imaginary parts set to zero, which is
+    what a polynomial built from the realified matrices one by one holds.
+    """
+    stack = np.asarray(stack)
+    if not np.iscomplexobj(stack):
+        return stack
+    scale = np.maximum(1.0, np.max(np.abs(stack.real), axis=(1, 2), initial=0.0))
+    small = np.max(np.abs(stack.imag), axis=(1, 2), initial=0.0) <= tol * scale
+    if small.all():
+        return np.ascontiguousarray(stack.real)
+    out = stack.copy()
+    out.imag[small] = 0.0
+    return out
 
 
 def sort_complex(z):

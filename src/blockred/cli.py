@@ -20,6 +20,7 @@ import numpy as np
 
 from .dompoles import dominant_poles
 from .errors import BlockredError, DimensionMismatch, ProbeAtPole
+from .matpoly import DEFAULT_EPS_SING
 from .metrics import as_state_space, h2_norm, hankel_singular_values
 from .reduce import Tolerances, reduce_dominant, reduce_latent
 from .solvents import compute_complete_set
@@ -261,7 +262,7 @@ def cmd_bode(args):
                 for k in range(1, len(systems) + 1):
                     header += [f"mag_db_{i}{j}_{k}", f"phase_deg_{i}{j}_{k}"]
 
-    eps_sing = args.eps_sing if args.eps_sing is not None else 1e-10
+    eps_sing = args.eps_sing if args.eps_sing is not None else DEFAULT_EPS_SING
     rows = []
     responses = []  # per grid point, per system: matrix or None
     for w in omega:

@@ -4,17 +4,19 @@ A degree-r matrix polynomial is stored leading coefficient first,
 
     A(s) = C[0] s**r + C[1] s**(r-1) + ... + C[r],
 
-with every coefficient the same (possibly rectangular) shape.  Latent roots
-and latent vectors, the block companion matrix, block division by a linear
-factor s*I - X, and the scalar determinant polynomial all live here.
+with every coefficient the same (possibly rectangular) shape, as one
+read-only (r + 1, p, m) array.  Latent roots and latent vectors, the block
+companion matrix, block division by a linear factor s*I - X, and the scalar
+determinant polynomial all live here.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from ._util import as_matrix, cond2, phase_normalize, realify, sort_complex
+from ._util import as_matrix, cond2, phase_normalize, realify_each, sort_complex
 from .errors import (
     DimensionMismatch,
     InterpolationError,
@@ -25,6 +27,8 @@ from .errors import (
 # Condition limit for treating a leading coefficient as invertible.
 COND_LIMIT = 1e10
 DEFAULT_TAU_NULL = 1e-6
+# A matrix whose condition number reaches 1 / eps_sing counts as singular.
+DEFAULT_EPS_SING = 1e-10
 
 
 @dataclass
@@ -50,7 +54,14 @@ class BlockDivisionResult:
 
 
 class MatrixPolynomial:
-    """Matrix polynomial with coefficients stored leading-first."""
+    """Matrix polynomial with coefficients stored leading-first.
+
+    coeffs is one read-only (degree + 1, rows, cols) array, float64 or
+    complex128 (complex as soon as one coefficient is).  The constructor
+    validates every coefficient (2-D, finite, one shape).  Results that the
+    module computes from polynomials already built come from _from_stack,
+    which checks only that they are finite.
+    """
 
     def __init__(self, coeffs):
         mats = [as_matrix(c, f"coefficient {i}") for i, c in enumerate(coeffs)]
@@ -62,25 +73,40 @@ class MatrixPolynomial:
                 raise DimensionMismatch(
                     f"coefficient {i} has shape {c.shape}, expected {shape}"
                 )
-        if np.any([np.iscomplexobj(c) for c in mats]):
-            mats = [c.astype(np.complex128) for c in mats]
-        for c in mats:
-            c.flags.writeable = False
-        self.coeffs = tuple(mats)
+        self._adopt(np.stack(mats))
+
+    @classmethod
+    def _from_stack(cls, stack):
+        """Polynomial on a (degree + 1, rows, cols) float64 or complex128
+        stack computed from validated polynomials, adopted without a copy.
+
+        Only finiteness is checked, since arithmetic can overflow.
+        """
+        finite = np.isfinite(stack)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=(1, 2))))
+            raise DimensionMismatch(f"coefficient {i} contains non-finite entries")
+        poly = cls.__new__(cls)
+        poly._adopt(stack)
+        return poly
+
+    def _adopt(self, stack):
+        stack.flags.writeable = False
+        self.coeffs = stack
 
     # -- basic structure ------------------------------------------------
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def rows(self):
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     @property
     def cols(self):
-        return self.coeffs[0].shape[1]
+        return self.coeffs.shape[2]
 
     @property
     def block_size(self):
@@ -96,14 +122,19 @@ class MatrixPolynomial:
 
     @property
     def is_real(self):
-        return not any(np.iscomplexobj(c) for c in self.coeffs)
+        return not np.iscomplexobj(self.coeffs)
 
-    @property
+    @cached_property
     def is_monic(self):
-        return (
+        return bool(
             self.is_square
             and np.max(np.abs(self.coeffs[0] - np.eye(self.rows))) <= 1e-12
         )
+
+    @cached_property
+    def _norms(self):
+        """Frobenius norm of every coefficient."""
+        return [float(np.linalg.norm(c)) for c in self.coeffs]
 
     def __repr__(self):
         kind = f"{self.rows}x{self.cols}"
@@ -111,14 +142,14 @@ class MatrixPolynomial:
 
     def trimmed(self, tol=0.0):
         """Drop numerically zero leading coefficients (keeps at least one)."""
-        scale = max((float(np.max(np.abs(c))) for c in self.coeffs), default=0.0)
-        thresh = tol * max(scale, 1.0)
+        sizes = np.max(np.abs(self.coeffs), axis=(1, 2), initial=0.0)
+        thresh = tol * max(float(np.max(sizes)), 1.0)
         k = 0
-        while k < self.degree and np.max(np.abs(self.coeffs[k])) <= thresh:
+        while k < self.degree and sizes[k] <= thresh:
             k += 1
         if k == 0:
             return self
-        return MatrixPolynomial(self.coeffs[k:])
+        return MatrixPolynomial._from_stack(self.coeffs[k:])
 
     # -- evaluation -----------------------------------------------------
 
@@ -139,8 +170,8 @@ class MatrixPolynomial:
         """
         z = abs(complex(s))
         total = 0.0
-        for c in self.coeffs:
-            total = total * z + float(np.linalg.norm(c))
+        for norm in self._norms:
+            total = total * z + norm
         return total
 
     def block_value(self, X, side="right"):
@@ -177,15 +208,13 @@ class MatrixPolynomial:
             raise DimensionMismatch(
                 f"X must be {want}x{want} for side '{side}', got {X.shape}"
             )
-        dtype = np.result_type(self.coeffs[0], X)
-        q = [np.array(self.coeffs[0], dtype=dtype)]
+        q = np.empty((self.degree, self.rows, self.cols),
+                     dtype=np.result_type(self.coeffs, X))
+        q[0] = self.coeffs[0]
         for i in range(1, self.degree):
-            prev = q[-1]
-            nxt = self.coeffs[i] + (prev @ X if side == "right" else X @ prev)
-            q.append(nxt)
-        last = q[-1]
-        rem = self.coeffs[-1] + (last @ X if side == "right" else X @ last)
-        return BlockDivisionResult(MatrixPolynomial(q), rem, side)
+            q[i] = self.coeffs[i] + (q[i - 1] @ X if side == "right" else X @ q[i - 1])
+        rem = self.coeffs[-1] + (q[-1] @ X if side == "right" else X @ q[-1])
+        return BlockDivisionResult(MatrixPolynomial._from_stack(q), rem, side)
 
     # -- latent structure -----------------------------------------------
 
@@ -203,8 +232,10 @@ class MatrixPolynomial:
                 f"leading coefficient condition {cond2(lead):.2e} exceeds {COND_LIMIT:.0e}"
             )
         lu = np.linalg.inv(lead)
-        coeffs = [np.eye(n)] + [lu @ c for c in self.coeffs[1:]]
-        return MatrixPolynomial([realify(c, 1e-12) for c in coeffs])
+        coeffs = np.empty_like(self.coeffs)
+        coeffs[0] = np.eye(n)
+        coeffs[1:] = lu @ self.coeffs[1:]
+        return MatrixPolynomial._from_stack(realify_each(coeffs, 1e-12))
 
     def companion(self):
         """Block companion matrix (bottom block row carries the coefficients).
@@ -218,12 +249,10 @@ class MatrixPolynomial:
         r = mono.degree
         if r == 0:
             return np.zeros((0, 0))
-        dtype = complex if not mono.is_real else float
-        A = np.zeros((r * m, r * m), dtype=dtype)
-        for i in range(r - 1):
-            A[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
-        for j in range(r):
-            A[(r - 1) * m:, j * m:(j + 1) * m] = -mono.coeffs[r - j]
+        A = np.zeros((r * m, r * m), dtype=mono.coeffs.dtype)
+        A[:(r - 1) * m, m:] = np.eye((r - 1) * m)
+        # block column j holds -C[r - j]
+        A[(r - 1) * m:, :] = -mono.coeffs[:0:-1].transpose(1, 0, 2).reshape(m, r * m)
         return A
 
     def latent_roots(self):
@@ -316,12 +345,10 @@ def poly_mul(A, B):
             f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols} blocks"
         )
     da, db = A.degree, B.degree
-    dtype = np.result_type(A.coeffs[0], B.coeffs[0])
-    out = [np.zeros((A.rows, B.cols), dtype=dtype) for _ in range(da + db + 1)]
+    out = np.zeros((da + db + 1, A.rows, B.cols), dtype=np.result_type(A.coeffs, B.coeffs))
     for i, ca in enumerate(A.coeffs):
-        for j, cb in enumerate(B.coeffs):
-            out[i + j] = out[i + j] + ca @ cb
-    return MatrixPolynomial(out)
+        out[i:i + db + 1] += ca @ B.coeffs
+    return MatrixPolynomial._from_stack(out)
 
 
 def mul_linear(Q, X, side="right"):
@@ -329,14 +356,12 @@ def mul_linear(Q, X, side="right"):
     X = as_matrix(X, "X")
     _check_side(side)
     q = Q.coeffs
-    dtype = np.result_type(q[0], X)
-    out = [np.array(q[0], dtype=dtype)]
-    for i in range(1, len(q)):
-        prev = q[i - 1]
-        out.append(q[i] - (prev @ X if side == "right" else X @ prev))
-    last = q[-1]
-    out.append(-(last @ X if side == "right" else X @ last))
-    return MatrixPolynomial(out)
+    qx = q @ X if side == "right" else X @ q
+    out = np.empty((len(q) + 1,) + qx.shape[1:], dtype=qx.dtype)
+    out[0] = q[0]
+    out[1:-1] = q[1:] - qx[:-1]
+    out[-1] = -qx[-1]
+    return MatrixPolynomial._from_stack(out)
 
 
 def right_divmod(N, D):

@@ -21,8 +21,8 @@ against the full system (and optionally by a relative H2 error gate).  Both
 are read from one metrics.ErrorGuard per reduction, built on the full
 controller form: each candidate's error system is realized on that form's
 own (A, B) through an output matrix (for a latent candidate the numerator
-difference over the full denominator, for discarded blocks their outputs
-taken back through the block Vandermonde matrix).
+difference over the full denominator, for discarded blocks and trimmed
+eigenvalues their outputs taken back through the block Vandermonde matrix).
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._util import block_diag, is_conjugate_closed, realify
+from ._util import block_diag, is_conjugate_closed, realify_each
 from .errors import (
     AlreadyMinimal,
     ConjugateBreak,
@@ -43,11 +43,12 @@ from .errors import (
     NotALatentRoot,
 )
 from .dompoles import dominant_poles, modal_form
-from .matpoly import MatrixPolynomial, mul_linear, poly_mul
+from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, mul_linear, poly_mul
 from .metrics import ErrorGuard, _require_stable, as_state_space, h2_error, relative_error
 from .solvents import (
     _cluster_roots,
     _conjugate_units,
+    _size_combinations,
     compute_complete_set,
     solvent_from_roots,
 )
@@ -72,7 +73,7 @@ class Tolerances:
     match_tol: float = 0.1
     tau_null: float = 1e-6
     tau_gap: float = 1e-6
-    eps_sing: float = 1e-10
+    eps_sing: float = DEFAULT_EPS_SING
     dominance_cutoff: float = 0.05
     node_budget: int = 10000
 
@@ -128,27 +129,20 @@ def _h2_gate(guard, c_err, tol):
 def _elimination_candidates(D, tol, limit=200):
     """Conjugate-closed root selections of size m, leftmost roots first,
     each with the latent roots it leaves behind."""
-    import itertools
-
     m = D.block_size
     roots = D.latent_roots()
     scale = max(1.0, float(np.max(np.abs(roots))))
     clusters = _cluster_roots(list(roots), scale)
     units = _conjugate_units(clusters, D.is_real, scale)
     sizes = [sum(mult for _, mult in u) for u in units]
-    count = 0
-    for k in range(1, len(units) + 1):
-        for combo in itertools.combinations(range(len(units)), k):
-            if sum(sizes[c] for c in combo) != m:
-                continue
-            sel, rest = [], []
-            for c in range(len(units)):
-                for z, mult in units[c]:
-                    (sel if c in combo else rest).extend([z] * mult)
-            yield sel, rest
-            count += 1
-            if count >= limit:
-                return
+    for count, combo in enumerate(_size_combinations(range(len(units)), sizes, m), 1):
+        sel, rest = [], []
+        for c in range(len(units)):
+            for z, mult in units[c]:
+                (sel if c in combo else rest).extend([z] * mult)
+        yield sel, rest
+        if count >= limit:
+            return
 
 
 def reduce_latent(fraction, tol=None, hankel_power=4):
@@ -168,7 +162,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
     r = fraction.D.degree
     # D = D_c Q with Q(s) = (sI - R_k) ... (sI - R_1) the factors divided out so
     # far, so G - G_c = (N - N_c Q) inv(D): an output matrix on the full form
-    divided = MatrixPolynomial([np.eye(fraction.m)])
+    divided = MatrixPolynomial._from_stack(np.eye(fraction.m)[None])
     current = fraction
     eliminated = []
     iterations = 0
@@ -202,8 +196,8 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
             newN = ndiv.quotient
             rem_norm = float(np.linalg.norm(ndiv.remainder))
         candidate = RightMFD(
-            MatrixPolynomial([realify(c, 1e-10) for c in newN.coeffs]).trimmed(1e-14),
-            MatrixPolynomial([realify(c, 1e-10) for c in newD.coeffs]),
+            MatrixPolynomial._from_stack(realify_each(newN.coeffs, 1e-10)).trimmed(1e-14),
+            MatrixPolynomial._from_stack(realify_each(newD.coeffs, 1e-10)),
             current.feedthrough,
         )
         trial = mul_linear(divided, solvent.matrix, "left")
@@ -521,7 +515,6 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
                 break
 
     work = {i: bd.blocks[i] for i in range(len(bd.blocks)) if i not in discard}
-    extra_neglected = []
     if trim_eigen and eliminated and work:
         last = min(work, key=lambda j: dom[j])
         block = work[last]
@@ -548,32 +541,24 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
             for z, mult in u:
                 drop_vals.extend([z] * mult)
             try:
-                kept_b, dropped_b = _split_block_values(
-                    work[last], drop_vals, tol.eps_sing
-                )
+                kept_b, _ = _split_block_values(work[last], drop_vals, tol.eps_sing)
                 taken = _take_modes(modes.values, drop_vals, trimmed)
             except (ConjugateBreak, NotALatentRoot,
                     NonDiagonalizableBlock, DegenerateEigenvector):
                 continue
             iterations += 1
-            negl_blocks = (tuple(bd.blocks[i] for i in sorted(discard))
-                           + tuple(extra_neglected) + (dropped_b,))
-            negl = BlockDiagonalRealization(
-                negl_blocks, np.zeros_like(bd.feedthrough), bd.io_shape
-            )
-            re_c = relative_error(guard.spectrum, negl, hankel_power)
             # the dropped modes of block `last` are observed through c times
             # their spectral projector, sum over them of outputs[:, i] rows[i]
             dropped_c = modes.outputs[:, taken] @ modes.rows[taken]
             parts = {i: bd.blocks[i].c for i in discard}
             parts[last] = dropped_c.real if real_block else dropped_c
-            if re_c > tol.re_threshold or not _h2_gate(
-                    guard, _error_output(bd, cset.vandermonde, parts), tol):
+            c_err = _error_output(bd, cset.vandermonde, parts)
+            re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
+            if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
                 breached = True
                 break
             trimmed = taken
             work[last] = kept_b
-            extra_neglected.append(dropped_b)
             re_val = re_c
             eliminated.append(
                 f"eigenvalues [{_fmt_values(drop_vals)}] of block {last}"

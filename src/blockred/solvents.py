@@ -8,7 +8,6 @@ nonsingular block Vandermonde matrix.  Solvents are assembled from latent
 pairs: R = V diag(roots) inv(V) with latent vectors as columns of V.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,9 +29,8 @@ from .errors import (
     NoCompleteSetFound,
     SingularVandermonde,
 )
-from .matpoly import DEFAULT_TAU_NULL, LatentPair, MatrixPolynomial
+from .matpoly import DEFAULT_EPS_SING, DEFAULT_TAU_NULL, LatentPair, MatrixPolynomial
 
-DEFAULT_EPS_SING = 1e-10
 DEFAULT_TAU_GAP = 1e-6
 DEFAULT_NODE_BUDGET = 10000
 
@@ -464,11 +462,33 @@ def compute_complete_set(
 
 
 def _size_combinations(candidates, sizes, need):
-    """Index combinations (lexicographic) whose sizes sum exactly to need."""
+    """Combinations of the candidates whose sizes (positive integers, looked
+    up as sizes[c]) sum exactly to need.
+
+    They come in the order of itertools.combinations filtered by size:
+    fewest candidates first, lexicographic by position within each count.
+    The walk prunes on the running sum against the least and the greatest
+    size, so it never visits a combination of the wrong size.
+    """
+    candidates = list(candidates)
+    size = [sizes[c] for c in candidates]
     if need == 0:
         yield ()
         return
-    for k in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, k):
-            if sum(sizes[c] for c in combo) == need:
-                yield combo
+    smallest, largest = min(size, default=1), max(size, default=0)
+
+    def extend(start, count, left, chosen):
+        # `count` more candidates from position `start` on, sizes summing to `left`
+        if not count * smallest <= left <= count * largest:
+            return
+        if count == 1:
+            for pos in range(start, len(candidates)):
+                if size[pos] == left:
+                    yield chosen + (candidates[pos],)
+            return
+        for pos in range(start, len(candidates) - count + 1):
+            yield from extend(pos + 1, count - 1, left - size[pos],
+                              chosen + (candidates[pos],))
+
+    for count in range(1, len(candidates) + 1):
+        yield from extend(0, count, need, ())

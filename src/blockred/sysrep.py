@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_matrix, block_diag, cond2, realify, sort_complex
+from ._util import as_matrix, block_diag, cond2, realify, realify_each, sort_complex
 from .errors import (
     DimensionMismatch,
     ImproperFraction,
@@ -27,9 +27,7 @@ from .errors import (
     ProbeAtPole,
     SingularVandermonde,
 )
-from .matpoly import MatrixPolynomial, right_divmod
-
-DEFAULT_EPS_SING = 1e-10
+from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, right_divmod
 
 
 def _solve_probe(M, rhs, s, eps_sing):
@@ -175,8 +173,8 @@ def make_right_mfd(N, D, feedthrough=None):
         if cond2(lead) >= 1e10:
             raise NotMonic("denominator leading coefficient is numerically singular")
         W = np.linalg.inv(lead)
-        D = MatrixPolynomial([realify(c @ W, 1e-12) for c in D.coeffs])
-        N = MatrixPolynomial([realify(c @ W, 1e-12) for c in N.coeffs])
+        D = MatrixPolynomial._from_stack(realify_each(D.coeffs @ W, 1e-12))
+        N = MatrixPolynomial._from_stack(realify_each(N.coeffs @ W, 1e-12))
     E = np.zeros((N.rows, m)) if feedthrough is None else as_matrix(feedthrough, "feedthrough")
     if N.degree >= D.degree:
         Q, R = right_divmod(N, D)
@@ -308,11 +306,10 @@ def controller_output(N, degree):
     """Output matrix that realizes N(s) inv(D(s)) on the block controller
     form of a monic D of the given degree (deg N < degree): the numerator
     coefficients by ascending power."""
-    m = N.cols
-    dn = N.degree
-    C = np.zeros((N.rows, degree * m), dtype=N.coeffs[0].dtype)
-    for i in range(dn + 1):  # ascending power i
-        C[:, i * m:(i + 1) * m] = N.coeffs[dn - i]
+    p, m = N.rows, N.cols
+    k = N.degree + 1
+    C = np.zeros((p, degree * m), dtype=N.coeffs.dtype)
+    C[:, :k * m] = N.coeffs[::-1].transpose(1, 0, 2).reshape(p, k * m)
     return C
 
 

@@ -13,6 +13,7 @@ from blockred.matpoly import (
     poly_mul,
     right_divmod,
 )
+from blockred.sysrep import controller_output
 
 from conftest import (
     block_value_oracle,
@@ -30,6 +31,95 @@ def test_basic_properties():
     assert P.is_square
     assert P.is_real
     assert P.is_monic
+
+
+def _assert_stacked(P, dtype=np.float64):
+    assert isinstance(P.coeffs, np.ndarray)
+    assert P.coeffs.shape == (P.degree + 1, P.rows, P.cols)
+    assert P.coeffs.dtype == dtype
+    assert not P.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        P.coeffs[0, 0, 0] = 1.0
+
+
+def test_coefficients_are_one_read_only_stack(rng):
+    # the constructor and every polynomial result hold one (d+1, p, m) array
+    lead = np.array([[2.0, 0.3], [0.1, 1.5]])
+    P = MatrixPolynomial([lead, rng.standard_normal((2, 2)), rng.standard_normal((2, 2))])
+    X = rng.standard_normal((2, 2))
+    N = MatrixPolynomial([np.zeros((3, 2)), rng.standard_normal((3, 2))])
+    results = [
+        P, P.monic_normalized(), P.block_divide(X).quotient,
+        P.block_divide(X, "left").quotient, poly_mul(N, P), mul_linear(P, X),
+        mul_linear(P, X, "left"), N.trimmed(),
+    ]
+    for R in results:
+        _assert_stacked(R)
+    assert [R.degree for R in results] == [2, 2, 1, 1, 3, 3, 3, 0]
+    assert N.trimmed().rows == 3
+    # one complex coefficient makes the whole stack complex
+    C = MatrixPolynomial([np.eye(2), 1j * np.eye(2), [[1, 2], [3, 4]]])
+    _assert_stacked(C, np.complex128)
+    assert not C.is_real and P.is_real
+    _assert_stacked(C.block_divide(X).quotient, np.complex128)
+    # the input is copied: changing it later does not reach the polynomial
+    c0 = np.eye(2)
+    Q = MatrixPolynomial([c0, np.zeros((2, 2))])
+    c0[0, 0] = 5.0
+    assert Q.coeffs[0, 0, 0] == 1.0 and Q.is_monic
+    # a stack is accepted as input as well
+    assert np.array_equal(MatrixPolynomial(P.coeffs).coeffs, P.coeffs)
+
+
+def test_stacked_arithmetic_matches_the_coefficient_loops(rng):
+    # the same products and sums as one coefficient at a time, so the
+    # results are equal to the last bit
+    for dtype in (float, complex):
+        P = MatrixPolynomial([np.eye(3)] + [rng.standard_normal((3, 3)).astype(dtype)
+                                            for _ in range(3)])
+        N = MatrixPolynomial([rng.standard_normal((2, 3)) for _ in range(2)])
+        X = rng.standard_normal((3, 3))
+        r, m = P.degree, 3
+        companion = np.zeros((r * m, r * m), dtype=P.coeffs.dtype)
+        for i in range(r - 1):
+            companion[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
+        for j in range(r):
+            companion[(r - 1) * m:, j * m:(j + 1) * m] = -P.coeffs[r - j]
+        assert np.array_equal(P.companion(), companion)
+        product = [np.zeros((2, 3), dtype=P.coeffs.dtype) for _ in range(N.degree + r + 1)]
+        for i, a in enumerate(N.coeffs):
+            for j, b in enumerate(P.coeffs):
+                product[i + j] = product[i + j] + a @ b
+        assert np.array_equal(poly_mul(N, P).coeffs, product)
+        for side in ("right", "left"):
+            qx = [q @ X if side == "right" else X @ q for q in P.coeffs]
+            linear = [P.coeffs[0]] + [P.coeffs[i] - qx[i - 1] for i in range(1, r + 1)]
+            assert np.array_equal(mul_linear(P, X, side).coeffs, linear + [-qx[-1]])
+        output = np.hstack([N.coeffs[1], N.coeffs[0], np.zeros((2, 3))])
+        assert np.array_equal(controller_output(N, 3), output)
+
+
+def test_public_constructor_still_validates_each_coefficient():
+    with pytest.raises(DimensionMismatch, match="coefficient 1 contains non-finite"):
+        MatrixPolynomial([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]])
+    with pytest.raises(DimensionMismatch, match="coefficient 0 must be 2-D"):
+        MatrixPolynomial([np.ones(2), np.eye(2)])
+    with pytest.raises(DimensionMismatch, match="coefficient 1 has shape"):
+        MatrixPolynomial([np.eye(2), np.eye(3)])
+
+
+def test_overflowing_results_raise():
+    # a result coefficient past the float range is rejected like an
+    # infinite input coefficient
+    P = MatrixPolynomial([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DimensionMismatch, match="coefficient 2 contains non-finite"):
+            P.block_divide(1e200 * np.eye(2))
+        big = MatrixPolynomial([1e200 * np.eye(2)])
+        with pytest.raises(DimensionMismatch, match="coefficient 1 contains non-finite"):
+            mul_linear(big, 1e200 * np.eye(2))
+        with pytest.raises(DimensionMismatch, match="coefficient 0 contains non-finite"):
+            poly_mul(big, big)
 
 
 def test_rejects_inconsistent_shapes():

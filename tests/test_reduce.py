@@ -451,9 +451,8 @@ def _two_step_fraction():
 
 def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
     # every guard attempt reads the one ErrorGuard of its reduction, built
-    # with a single sign iteration on the full controller form; a dominant
-    # reduction adds one for its reported H2 error, and one per eigenvalue
-    # trim, whose RE still analyses the neglected part on its own
+    # with a single sign iteration on the full controller form, eigenvalue
+    # trims included; a dominant reduction adds one for its reported H2 error
     calls = []
     original = metrics._sign_steps
 
@@ -478,7 +477,28 @@ def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
     assert reports["dominant"].iterations == 2 and trims == 2
     assert reports["latent"].iterations == 2 and len(reports["latent"].eliminated) == 2
     assert reports["latent-network"].iterations == 1
-    assert counts == {"dominant": 2, "trim": 2 + trims, "latent": 1, "latent-network": 1}
+    assert counts == {"dominant": 2, "trim": 2, "latent": 1, "latent-network": 1}
+
+
+def test_reduce_latent_validates_no_intermediate_polynomial(monkeypatch):
+    # quotients, products and normalized forms are built from validated
+    # polynomials and skip the validating constructor
+    calls = []
+    original = MatrixPolynomial.__init__
+
+    def counting(self, coeffs):
+        calls.append(1)
+        original(self, coeffs)
+
+    D = denominator_from_solvents([np.diag([-1.0, -2.0]), np.diag([-40.0, -50.0])])
+    N = MatrixPolynomial([np.eye(2), np.diag([40.0, 50.0]) + 1e-3])  # (sI - fast) + tiny
+    for fraction, steps in ((_two_step_fraction(), 2), (RightMFD(N, D), 1)):
+        monkeypatch.setattr(MatrixPolynomial, "__init__", counting)
+        _, rep = reduce_latent(fraction, Tolerances(re_threshold=0.05))
+        monkeypatch.undo()
+        assert len(rep.eliminated) == steps
+        assert len(calls) <= 1
+        calls.clear()
 
 
 def test_h2_gate_reads_the_full_norm_from_the_guard(monkeypatch):

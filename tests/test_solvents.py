@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +13,7 @@ from blockred.errors import (
 )
 from blockred.matpoly import MatrixPolynomial
 from blockred.solvents import (
+    _size_combinations,
     CompleteSolventSet,
     Solvent,
     block_vandermonde,
@@ -273,3 +277,36 @@ def test_compute_complete_set_no_solvent_at_all():
     ])
     with pytest.raises(NoCompleteSetFound):
         compute_complete_set(P)
+
+
+def _filtered_combinations(candidates, sizes, need):
+    """The size filter over all subsets that _size_combinations replaces."""
+    if need == 0:
+        return [()]
+    return [
+        combo
+        for k in range(1, len(candidates) + 1)
+        for combo in itertools.combinations(candidates, k)
+        if sum(sizes[c] for c in combo) == need
+    ]
+
+
+def test_size_combinations_match_the_subset_filter(rng):
+    # same combinations in the same order: fewest units first, then
+    # lexicographic by position, for unit sizes as clustering produces them
+    for _ in range(300):
+        length = int(rng.integers(0, 13))
+        sizes = [int(x) for x in rng.choice([1, 1, 1, 2, 2, 3], size=length)]
+        candidates = [int(c) for c in rng.permutation(length)]
+        need = int(rng.integers(0, 7))
+        got = list(_size_combinations(candidates, sizes, need))
+        assert got == _filtered_combinations(candidates, sizes, need)
+
+
+def test_size_combinations_skip_the_wrong_sizes():
+    # 24 unit roots in groups of 3: 2024 combinations, where the subset
+    # filter would walk all 2**24 subsets; in groups of 8 (24 real latent
+    # roots at m = 8) the first comes without visiting the smaller counts
+    assert len(list(_size_combinations(range(24), [1] * 24, 3))) == math.comb(24, 3)
+    assert next(_size_combinations(range(24), [1] * 24, 8)) == tuple(range(8))
+    assert list(_size_combinations(range(30), [2] * 30, 3)) == []

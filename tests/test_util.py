@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from blockred._util import block_diag, pair_distance
+from blockred._util import block_diag, pair_distance, realify, realify_each
 
 
 def brute_bottleneck(a, b):
@@ -64,3 +64,26 @@ def test_block_diag_of_one_matrix_is_a_copy(n, rng):
     a = rng.standard_normal((n, n))
     out = block_diag(a)
     assert np.array_equal(out, a) and out is not a
+
+
+def test_realify_each_matches_realify_per_matrix(rng):
+    # each matrix's imaginary part is judged against its own real part: the
+    # first two are negligible at 1e-10 (the second only because its real
+    # part is large), the third is not
+    base = rng.standard_normal((3, 2, 2))
+    imag = np.stack([1e-12 * np.ones((2, 2)), 1e-6 * np.ones((2, 2)), 1e-3 * np.ones((2, 2))])
+    base[1] *= 1e5
+    mixed = base + 1j * imag
+    for stack, complex_out in ((mixed, True), (mixed[:2], False), (base, False)):
+        out = realify_each(stack, 1e-10)
+        each = [realify(c, 1e-10) for c in stack]
+        assert np.iscomplexobj(out) == complex_out
+        assert np.iscomplexobj(out) == any(np.iscomplexobj(c) for c in each)
+        assert out.shape == stack.shape
+        for got, want in zip(out, each):
+            assert np.array_equal(got, want)
+            if np.iscomplexobj(got) and not np.iscomplexobj(want):
+                assert np.all(got.imag == 0.0)
+    # the input is left unchanged
+    assert np.array_equal(mixed.imag, imag)
+    assert realify_each(np.zeros((2, 0, 3), dtype=complex)).shape == (2, 0, 3)
