@@ -153,7 +153,6 @@ def _tolerances(args):
     for field, flag in (
         ("re_threshold", "threshold"),
         ("h2_threshold", "h2_threshold"),
-        ("match_tol", "match_tol"),
         ("tau_null", "tau_null"),
         ("tau_gap", "tau_gap"),
         ("eps_sing", "eps_sing"),
@@ -325,8 +324,6 @@ def _add_tolerance_flags(sub, include_h2=True):
     if include_h2:
         sub.add_argument("--h2-threshold", dest="h2_threshold", type=float,
                          default=None, help="optional relative H2 error gate")
-    sub.add_argument("--match-tol", dest="match_tol", type=float, default=None,
-                     help=f"pole-to-solvent matching tolerance (default {d.match_tol})")
     sub.add_argument("--tau-null", dest="tau_null", type=float, default=None,
                      help=f"null space detection tolerance (default {d.tau_null})")
     sub.add_argument("--tau-gap", dest="tau_gap", type=float, default=None,
@@ -367,7 +364,7 @@ def build_parser():
     r.add_argument("path")
     r.add_argument("--method", choices=("latent", "dominant"), default="dominant")
     r.add_argument("--k", type=int, default=None,
-                   help="dominant pole count (default: adaptive)")
+                   help="dominant pole count (default: every pole)")
     r.add_argument("--out", required=True,
                    help="output document path; the report goes to OUT.report")
     r.add_argument("--hankel-power", dest="hankel_power", type=int,
@@ -378,7 +375,7 @@ def build_parser():
                         "of the least dominant remaining block")
     r.add_argument("--no-continue-blocks", dest="no_continue_blocks",
                    action="store_true",
-                   help="stop after eliminating unmatched blocks")
+                   help="stop after eliminating unclaimed blocks")
     _add_tolerance_flags(r)
     r.set_defaults(func=cmd_reduce)
 

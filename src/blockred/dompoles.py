@@ -6,8 +6,8 @@ index is ||R||_2 / |Re lambda|.  The state matrices met here are dense and
 small, so one eigendecomposition of A yields every pole with its residue at
 once: the ranking is exact, G(s) may have any number of inputs and outputs,
 and no iteration is involved that could fail to converge.  modal_form is that
-decomposition for any (a, b, c) triple; the reduction pipeline reads its
-diagonal blocks through it as well.
+decomposition for any (a, b, c) triple; reduce_dominant reads its ranking,
+block dominance and error outputs from one modal_form of the full system.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ import numpy as np
 from ._util import cond2
 from .errors import (
     DegenerateEigenvector,
-    DimensionMismatch,
     NoConvergence,
     NonDiagonalizableBlock,
 )
@@ -122,21 +121,6 @@ def modal_form(a, b, c, eps_sing):
     return ModalForm(values, right, inputs, outputs, rows)
 
 
-def residue_matrix(system, value, x, y):
-    """Residue (C x)(y^H B) / (y^H x) of a pole with eigenvectors x, y."""
-    sys = as_state_space(system)
-    x = np.asarray(x, dtype=complex).ravel()
-    y = np.asarray(y, dtype=complex).ravel()
-    if x.size != sys.n or y.size != sys.n:
-        raise DimensionMismatch("eigenvector length does not match the state dimension")
-    denom = np.vdot(y, x)  # y^H x
-    if abs(denom) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y):
-        raise DegenerateEigenvector(
-            f"left/right eigenvectors at {complex(value):.6g} are near orthogonal"
-        )
-    return np.outer(sys.C @ x, y.conj() @ sys.B) / denom
-
-
 def dominance_index(value, residue):
     """||R||_2 / |Re value|; infinite on the imaginary axis."""
     norm = float(np.linalg.norm(residue, 2))
@@ -173,6 +157,31 @@ def _conjugate_partners(values):
     return partner
 
 
+def _snap(value, real_system):
+    """A mode's value as a pole: within 1e-8 (relative) of the real axis a
+    real system's eigenvalue is reported as real."""
+    if real_system and abs(value.imag) <= 1e-8 * max(1.0, abs(value)):
+        return complex(value.real, 0.0)
+    return complex(value)
+
+
+def _ranked_modes(modes, count, real_system):
+    """Indices of the `count` most dominant modes, most dominant first.
+
+    Modes are ranked as dominance_order ranks poles.  For a real system a
+    complex mode whose conjugate falls beyond the cut brings the conjugate
+    along.
+    """
+    dominance, rnorms = modes.dominance, modes.residue_norms
+    ranked = sorted(range(modes.values.size), key=lambda i: _rank_key(
+        dominance[i], rnorms[i], _snap(modes.values[i], real_system)))
+    chosen = set(ranked[:count])
+    if real_system:
+        partner = _conjugate_partners(modes.values)
+        chosen.update(partner[i] for i in ranked[:count] if i in partner)
+    return [i for i in ranked if i in chosen]
+
+
 def dominant_poles(system, count, eps_sing=1e-10):
     """The `count` most dominant poles of a system, most dominant first.
 
@@ -184,28 +193,15 @@ def dominant_poles(system, count, eps_sing=1e-10):
     eigenvector matrix of A has condition at least 1/eps_sing.
     """
     sys = as_state_space(system)
-    n = sys.n
-    if n == 0 or count <= 0:
+    if sys.n == 0 or count <= 0:
         return []
     modes = modal_form(sys.A, sys.B, sys.C, eps_sing)
     real_system = not (
         np.iscomplexobj(sys.A) or np.iscomplexobj(sys.B) or np.iscomplexobj(sys.C)
     )
-
-    def snap(value):
-        if real_system and abs(value.imag) <= 1e-8 * max(1.0, abs(value)):
-            return complex(value.real, 0.0)
-        return complex(value)
-
-    dominance, rnorms = modes.dominance, modes.residue_norms
-    poles = [
-        DominantPole(snap(v), modes.right[:, i], modes.left(i), modes.residue(i),
-                     float(dominance[i]))
-        for i, v in enumerate(modes.values)
+    dominance = modes.dominance
+    return [
+        DominantPole(_snap(modes.values[i], real_system), modes.right[:, i],
+                     modes.left(i), modes.residue(i), float(dominance[i]))
+        for i in _ranked_modes(modes, count, real_system)
     ]
-    ranked = sorted(range(n), key=lambda i: _rank_key(dominance[i], rnorms[i], poles[i].value))
-    chosen = set(ranked[:count])
-    if real_system:
-        partner = _conjugate_partners(modes.values)
-        chosen.update(partner[i] for i in ranked[:count] if i in partner)
-    return [poles[i] for i in ranked if i in chosen]

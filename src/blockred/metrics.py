@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_matrix, block_diag
+from ._util import as_matrix
 from .errors import (
     DimensionMismatch,
     FeedthroughMismatch,
@@ -283,15 +283,6 @@ def _same_io(a, b):
             f"io shapes differ: {sa.p}x{sa.m} vs {sb.p}x{sb.m}"
         )
     return sa, sb
-
-
-def difference_system(a, b):
-    """Realization of G_a - G_b by direct sum."""
-    sa, sb = _same_io(a, b)
-    A = block_diag(sa.A, sb.A)
-    B = np.vstack([sa.B, sb.B])
-    C = np.hstack([sa.C, -sb.C])
-    return StateSpace(A, B, C, sa.D - sb.D)
 
 
 def h2_error(a, b):

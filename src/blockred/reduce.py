@@ -10,11 +10,12 @@ Two pipelines:
   back.
 
 * reduce_dominant: work on a state-space system.  Extract the matrix
-  fraction, compute a complete solvent set, decouple the system into blocks,
-  find the dominant poles, and eliminate blocks that no dominant pole claims,
-  then keep eliminating the least dominant blocks while the relative error
-  allows.  Optionally individual eigenvalues inside kept blocks are trimmed
-  as well.
+  fraction, compute a complete solvent set and decouple the system into
+  blocks.  One modal decomposition of the full system then ranks the poles
+  by dominance; a block is claimed when it owns a dominant pole.  Eliminate
+  the unclaimed blocks, then keep eliminating the least dominant blocks
+  while the relative error allows.  Optionally individual eigenvalues
+  inside kept blocks are trimmed as well.
 
 Every elimination is guarded by the relative error RE of the neglected part
 against the full system (and optionally by a relative H2 error gate).  Both
@@ -22,7 +23,7 @@ are read from one metrics.ErrorGuard per reduction, built on the full
 controller form: each candidate's error system is realized on that form's
 own (A, B) through an output matrix (for a latent candidate the numerator
 difference over the full denominator, for discarded blocks and trimmed
-eigenvalues their outputs taken back through the block Vandermonde matrix).
+eigenvalues C times the spectral projector of the dropped modes).
 """
 
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ from .errors import (
     NonDiagonalizableBlock,
     NotALatentRoot,
 )
-from .dompoles import dominant_poles, modal_form
+from .dompoles import _ranked_modes, modal_form
 from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, mul_linear, poly_mul
-from .metrics import ErrorGuard, _require_stable, as_state_space, h2_error, relative_error
+from .metrics import ErrorGuard, _require_stable, as_state_space, relative_error
 from .solvents import (
     _cluster_roots,
     _conjugate_units,
@@ -70,7 +71,6 @@ class Tolerances:
 
     re_threshold: float = 0.01
     h2_threshold: Optional[float] = None
-    match_tol: float = 0.1
     tau_null: float = 1e-6
     tau_gap: float = 1e-6
     eps_sing: float = DEFAULT_EPS_SING
@@ -79,7 +79,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in (
-            "re_threshold", "match_tol", "tau_null", "tau_gap",
+            "re_threshold", "tau_null", "tau_gap",
             "eps_sing", "dominance_cutoff",
         ):
             if not (float(getattr(self, name)) > 0.0):
@@ -236,17 +236,14 @@ class MatchResult:
     unmatched: tuple
     distances: dict
 
-    def __iter__(self):
-        # allows: keep, discard = match_solvents_to_poles(...)
-        yield set(self.matched)
-        yield set(self.unmatched)
-
 
 def match_solvents_to_poles(solvent_set, poles, match_tol=0.1):
     """Match solvents to poles by relative eigenvalue distance.
 
     A solvent is kept when some pole lies within match_tol (relative to the
-    eigenvalue magnitude) of one of its eigenvalues.
+    eigenvalue magnitude) of one of its eigenvalues.  reduce_dominant does
+    not match by distance: a block is claimed there when it owns one of the
+    dominant modes.
     """
     values = [complex(getattr(p, "value", p)) for p in poles]
     matched = []
@@ -261,31 +258,6 @@ def match_solvents_to_poles(solvent_set, poles, match_tol=0.1):
             matched.append(i)
     unmatched = tuple(i for i in range(len(solvent_set.solvents)) if i not in matched)
     return MatchResult(tuple(matched), unmatched, distances)
-
-
-def _block_dominance(block, eps_sing=1e-10):
-    """Largest per-eigenvalue dominance index carried by one diagonal block."""
-    try:
-        modes = modal_form(block.a, block.b, block.c, eps_sing)
-    except (NonDiagonalizableBlock, DegenerateEigenvector):
-        return np.inf  # treat as too important to discard
-    return float(np.max(modes.dominance, initial=0.0))
-
-
-def _error_output(bd, vandermonde, parts):
-    """Output matrix of the neglected parts of bd's blocks on the controller
-    form that the block Vandermonde matrix V decouples into bd.
-
-    parts maps a block index to the output matrix of its neglected part on
-    that block's states (the block's own c when the whole block goes).  In
-    the decoupled coordinates z = inv(V) x the neglected parts are observed
-    through those columns alone, so on the controller form through C_z inv(V).
-    """
-    edges = np.cumsum([0] + [blk.size for blk in bd.blocks])
-    c = np.zeros((bd.p, bd.n), dtype=np.result_type(vandermonde, *parts.values()))
-    for i, part in parts.items():
-        c[:, edges[i]:edges[i + 1]] = part
-    return np.linalg.solve(vandermonde.T, c.T).T
 
 
 def _take_modes(values, drop_values, taken=None):
@@ -304,26 +276,39 @@ def _take_modes(values, drop_values, taken=None):
     return taken
 
 
-def _split_block_values(block, drop_values, eps_sing=1e-10):
-    """Split one diagonal block into (kept, dropped) modal realizations.
+def _mode_owners(values, spectra):
+    """Block index owning each mode: block i takes, for every value of its
+    spectrum spectra[i], the nearest mode that no block holds yet."""
+    owner = np.full(values.size, -1)
+    for i, spectrum in enumerate(spectra):
+        owner[_take_modes(values, spectrum, owner >= 0) & (owner < 0)] = i
+    return owner
 
-    drop_values lists eigenvalues of block.a to move into the dropped part;
-    for a real block they must form a conjugate-closed set so both halves
-    stay real.
+
+def _dropped_output(modes, dropped, real_output=True):
+    """Output matrix of the error system that drops the modes in the mask
+    `dropped`, on the state space `modes` decomposes: C times the spectral
+    projector of those modes, the sum over them of outputs[:, i] rows[i]."""
+    c = modes.outputs[:, dropped] @ modes.rows[dropped]
+    return c.real if real_output else c
+
+
+def _trimmed_block(block, drop_values, eps_sing=1e-10):
+    """Modal realization of one diagonal block without the eigenvalues
+    drop_values.
+
+    For a real block drop_values must form a conjugate-closed set so the
+    result stays real.
     """
     drop_values = list(np.asarray(drop_values, dtype=complex).ravel())
     real_block = not np.iscomplexobj(block.a)
     if not drop_values:
-        m, p = block.b.shape[1], block.c.shape[0]
-        return block, DiagonalBlock(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))
+        return block
     if real_block and not is_conjugate_closed(drop_values):
         raise ConjugateBreak("dropped eigenvalues must form conjugate pairs")
     modes = modal_form(block.a, block.b, block.c, eps_sing)
     taken = _take_modes(modes.values, drop_values)
-    return (
-        _assemble_modal_block(modes, np.flatnonzero(~taken), real_block),
-        _assemble_modal_block(modes, np.flatnonzero(taken), real_block),
-    )
+    return _assemble_modal_block(modes, np.flatnonzero(~taken), real_block)
 
 
 def trim_subsystem_eigen(bd, block, drop, tol=None):
@@ -349,9 +334,7 @@ def trim_subsystem_eigen(bd, block, drop, tol=None):
     values = blocks[bi].eigenvalues
     if drop_idx[0] < 0 or drop_idx[-1] >= values.size:
         raise DimensionMismatch("eigenvalue index out of range")
-    kept_block, _ = _split_block_values(
-        blocks[bi], [values[i] for i in drop_idx], tol.eps_sing
-    )
+    kept_block = _trimmed_block(blocks[bi], [values[i] for i in drop_idx], tol.eps_sing)
     if kept_block.size == 0:
         del blocks[bi]
     else:
@@ -418,19 +401,16 @@ def _assemble_modal_block(modes, indices, real_output=True):
     )
 
 
-def _cutoff_filter(poles, cutoff):
-    """Poles whose dominance reaches `cutoff` times the best one found."""
-    poles = list(poles)
-    if not poles:
-        return []
-    doms = [float(p.dominance) for p in poles]
-    if any(not np.isfinite(d) for d in doms):
+def _dominance_cut(ranked, dominance, cutoff):
+    """The ranked modes whose dominance reaches `cutoff` times the best one's."""
+    doms = dominance[ranked]
+    if not np.isfinite(doms).all():
         # a pole on the imaginary axis outranks every finite one
-        return [p for p, d in zip(poles, doms) if not np.isfinite(d)]
-    top = max(doms)
+        return ranked[~np.isfinite(doms)]
+    top = float(np.max(doms, initial=0.0))
     if top == 0.0:
-        return poles
-    return [p for p, d in zip(poles, doms) if d >= cutoff * top]
+        return ranked
+    return ranked[doms >= cutoff * top]
 
 
 def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=False,
@@ -438,16 +418,22 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     """Reduce a state-space system by discarding non-dominant solvent blocks.
 
     Pipeline: extract the right matrix fraction, compute a complete solvent
-    set of its denominator, decouple the system into one block per solvent,
-    rank the poles by dominance (the k most dominant, or all of them, less
-    those under the dominance cut-off), and discard the blocks no dominant
-    pole claims, least dominant first.  When that phase eliminated something
-    and continue_blocks is set, elimination proceeds to the least dominant
-    claimed blocks, and with trim_eigen to individual eigenvalues of the
-    least dominant remaining block (finer granularity once whole blocks stop
-    fitting).  Every step is guarded by the relative error of everything
-    neglected so far; a step that breaches the threshold is rolled back and
-    ends elimination at that granularity.
+    set of its denominator and decouple the system into one block per
+    solvent.  One modal decomposition of the full controller form then
+    drives every decision.  Each block owns the modes of its spectrum, and
+    its dominance is the largest among them.  The modes are ranked by
+    dominance (the k most dominant, or all of them, less those under the
+    dominance cut-off), and a block is claimed when it owns one of those
+    modes.  The unclaimed blocks are discarded, least dominant first.  When
+    that phase eliminated something and continue_blocks is set, elimination
+    proceeds to the least dominant claimed blocks, and with trim_eigen to
+    individual eigenvalues of the least dominant remaining block (finer
+    granularity once whole blocks stop fitting).  Every step is guarded by
+    the relative error of everything neglected so far, whose error output is
+    C times the spectral projector of all the modes dropped; a step that
+    breaches the threshold is rolled back and ends elimination at that
+    granularity.  The reported H2 error is the guard's for the last accepted
+    step.
 
     Returns (StateSpace, ReductionReport).
     """
@@ -469,101 +455,79 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     bd = block_diagonalize(css, cset, eps_sing=tol.eps_sing)
     n = css.n
 
+    modes = modal_form(css.A, css.B, css.C, tol.eps_sing)
+    real_system = not any(np.iscomplexobj(x) for x in (css.A, css.B, css.C))
+    dominance = modes.dominance
+    spectra = [sol.eigenvalues for sol in cset.solvents]
+    owner = _mode_owners(modes.values, spectra)
+    dom = [float(np.max(dominance[owner == i], initial=0.0)) for i in range(len(spectra))]
     count = n if k is None else max(1, min(int(k), n))
-    poles = dominant_poles(css, count, eps_sing=tol.eps_sing)
-    match = match_solvents_to_poles(
-        cset, _cutoff_filter(poles, tol.dominance_cutoff), tol.match_tol
-    )
-
-    dom = {i: _block_dominance(bd.blocks[i], tol.eps_sing)
-           for i in range(len(bd.blocks))}
+    ranked = np.array(_ranked_modes(modes, count, real_system))
+    claimed = set(owner[_dominance_cut(ranked, dominance, tol.dominance_cutoff)].tolist())
+    by_dominance = sorted(range(len(spectra)), key=lambda j: dom[j])
     # with no block left unclaimed no guard runs
-    guard = ErrorGuard(css) if match.unmatched else None
+    guard = ErrorGuard(css) if len(claimed) < len(spectra) else None
     eliminated = []
     discard = set()
+    dropped = np.zeros(n, dtype=bool)
     re_val = 0.0
+    h2_abs = 0.0
     iterations = 0
     breached = False
 
-    def attempt(idx, label):
-        nonlocal discard, re_val, iterations, breached
+    def attempt(step, label):
+        # drop the modes in the mask `step` on top of those dropped so far
+        nonlocal dropped, re_val, h2_abs, iterations, breached
         iterations += 1
-        trial = discard | {idx}
-        c_err = _error_output(bd, cset.vandermonde, {i: bd.blocks[i].c for i in trial})
+        c_err = _dropped_output(modes, dropped | step, real_system)
         re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
         if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
             breached = True
             return False
-        discard = trial
+        dropped = dropped | step
         re_val = re_c
+        h2_abs = guard.h2_error(c_err)
         eliminated.append(label)
         return True
 
-    for i in sorted(match.unmatched, key=lambda j: dom[j]):
-        if not attempt(
-            i, f"block {i} [{_fmt_values(bd.blocks[i].eigenvalues)}] (no dominant pole)"
-        ):
-            break
+    def discard_blocks(indices, reason):
+        for i in indices:
+            if not attempt(owner == i, f"block {i} [{_fmt_values(spectra[i])}] ({reason})"):
+                return
+            discard.add(i)
 
+    discard_blocks([i for i in by_dominance if i not in claimed], "no dominant pole")
     if continue_blocks and eliminated and not breached:
-        for i in sorted(
-            (j for j in match.matched if j not in discard), key=lambda j: dom[j]
-        ):
-            if not attempt(
-                i, f"block {i} [{_fmt_values(bd.blocks[i].eigenvalues)}] (least dominant)"
-            ):
-                break
+        discard_blocks([i for i in by_dominance if i in claimed], "least dominant")
 
     work = {i: bd.blocks[i] for i in range(len(bd.blocks)) if i not in discard}
     if trim_eigen and eliminated and work:
         last = min(work, key=lambda j: dom[j])
-        block = work[last]
-        try:
-            modes = modal_form(block.a, block.b, block.c, tol.eps_sing)
-            vals, doms = list(modes.values), list(modes.dominance)
-        except (NonDiagonalizableBlock, DegenerateEigenvector):
-            vals, doms = [], []
-        real_block = not np.iscomplexobj(block.a)
-        scale = max(1.0, max((abs(v) for v in vals), default=1.0))
-        units = _conjugate_units(_cluster_roots(vals, scale), real_block, scale)
-
-        def unit_dominance(u):
-            best = 0.0
-            for z, _mult in u:
-                for lam, d in zip(vals, doms):
-                    if abs(lam - z) <= 1e-6 * scale:
-                        best = max(best, d)
-            return best
-
-        trimmed = np.zeros(len(vals), dtype=bool)  # modes of block `last` dropped so far
-        for u in sorted(units, key=unit_dominance):
-            drop_vals = []
-            for z, mult in u:
-                drop_vals.extend([z] * mult)
+        values = spectra[last]
+        scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+        units = _conjugate_units(
+            _cluster_roots(list(values), scale), not np.iscomplexobj(work[last].a), scale
+        )
+        steps = []  # (modes of the unit, its values) per unit of block `last`
+        held = owner != last
+        for u in units:
+            drop_vals = [z for z, mult in u for _ in range(mult)]
             try:
-                kept_b, _ = _split_block_values(work[last], drop_vals, tol.eps_sing)
-                taken = _take_modes(modes.values, drop_vals, trimmed)
+                taken = _take_modes(modes.values, drop_vals, held)
+            except NotALatentRoot:
+                continue
+            steps.append((taken & ~held, drop_vals))
+            held = taken
+        for step, drop_vals in sorted(steps, key=lambda st: float(np.max(dominance[st[0]]))):
+            try:
+                kept_b = _trimmed_block(work[last], drop_vals, tol.eps_sing)
             except (ConjugateBreak, NotALatentRoot,
                     NonDiagonalizableBlock, DegenerateEigenvector):
                 continue
-            iterations += 1
-            # the dropped modes of block `last` are observed through c times
-            # their spectral projector, sum over them of outputs[:, i] rows[i]
-            dropped_c = modes.outputs[:, taken] @ modes.rows[taken]
-            parts = {i: bd.blocks[i].c for i in discard}
-            parts[last] = dropped_c.real if real_block else dropped_c
-            c_err = _error_output(bd, cset.vandermonde, parts)
-            re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
-            if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
-                breached = True
+            if not attempt(step, f"eigenvalues [{_fmt_values(drop_vals)}] of block {last}"):
                 break
-            trimmed = taken
             work[last] = kept_b
-            re_val = re_c
-            eliminated.append(
-                f"eigenvalues [{_fmt_values(drop_vals)}] of block {last}"
-            )
-            if work[last].size == 0:
+            if kept_b.size == 0:
                 break
 
     final_blocks = tuple(
@@ -571,7 +535,6 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     )
     reduced_bd = BlockDiagonalRealization(final_blocks, bd.feedthrough, bd.io_shape)
     reduced = recompose(reduced_bd)
-    h2_abs = h2_error(css, reduced) if eliminated else 0.0
     report = ReductionReport(
         method="dominant",
         original_order=css.n,

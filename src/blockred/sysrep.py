@@ -264,11 +264,6 @@ class BlockDiagonalRealization:
         po = self.poles()
         return bool(po.size == 0 or np.max(po.real) < 0.0)
 
-    def select(self, indices):
-        """New realization keeping only the listed blocks (order preserved)."""
-        kept = [self.blocks[i] for i in indices]
-        return BlockDiagonalRealization(tuple(kept), self.feedthrough, self.io_shape)
-
     def transfer(self, s, eps_sing=DEFAULT_EPS_SING):
         total = np.array(self.feedthrough, dtype=complex)
         for blk in self.blocks:

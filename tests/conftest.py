@@ -123,6 +123,14 @@ def planted_block_system(rng, suppress=True):
     return ss, weak, ablocks
 
 
+def direct_sum(a, b):
+    """Realization of G_a - G_b as the direct sum of two state-space systems."""
+    return StateSpace(
+        scipy.linalg.block_diag(a.A, b.A), np.vstack([a.B, b.B]),
+        np.hstack([a.C, -b.C]), a.D - b.D,
+    )
+
+
 def probe_points(rng, count=20, scale=3.0):
     """Complex probe points spread over the right half plane and the axis
     neighborhood, away from typical pole locations."""

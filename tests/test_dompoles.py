@@ -9,11 +9,9 @@ from blockred.dompoles import (
     dominance_order,
     dominant_poles,
     modal_form,
-    residue_matrix,
 )
 from blockred.errors import (
     DegenerateEigenvector,
-    DimensionMismatch,
     NonDiagonalizableBlock,
 )
 from blockred.sysrep import StateSpace
@@ -42,25 +40,6 @@ def test_residue_partial_fraction(rng):
         for p in poles:
             total += p.residue / (s - p.value)
         assert_allclose(total, ss.transfer(s), rtol=1e-8, atol=1e-10)
-
-
-def test_residue_matrix_matches_oracle(rng):
-    ss = random_diagonalizable_stable(rng, 5, 2, 2)
-    w, vl, vr = scipy.linalg.eig(ss.A, left=True, right=True)
-    for i in range(ss.n):
-        R = residue_matrix(ss, w[i], vr[:, i], vl[:, i])
-        want = np.outer(ss.C @ vr[:, i], vl[:, i].conj() @ ss.B) / np.vdot(vl[:, i], vr[:, i])
-        assert_allclose(R, want, rtol=1e-12)
-
-
-def test_residue_matrix_rejects_bad_vectors(rng):
-    ss = random_diagonalizable_stable(rng, 4, 2, 2)
-    with pytest.raises(DimensionMismatch):
-        residue_matrix(ss, -1.0, np.ones(3), np.ones(4))
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    y = np.array([0.0, 1.0, 0.0, 0.0])  # orthogonal to x
-    with pytest.raises(DegenerateEigenvector):
-        residue_matrix(ss, -1.0, x, y)
 
 
 def test_dominance_index_values():

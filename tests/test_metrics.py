@@ -12,7 +12,6 @@ from blockred.metrics import (
     STABILITY_MARGIN,
     ErrorGuard,
     bode_samples,
-    difference_system,
     gramians,
     h2_error,
     h2_norm,
@@ -25,11 +24,11 @@ from blockred.solvents import denominator_from_solvents
 from blockred.sysrep import RightMFD, StateSpace, controller_canonical, mfd_from_state_space
 
 from conftest import (
+    direct_sum,
     h2_oracle,
     hankel_oracle,
     lyapunov_exact,
     lyapunov_oracle,
-    probe_points,
     random_stable_matrix,
     random_stable_system,
 )
@@ -200,20 +199,11 @@ def test_h2_norm_accepts_mfd(rng):
     assert h2_norm(f) == pytest.approx(h2_norm(ss), rel=1e-8)
 
 
-def test_difference_system_transfer(rng):
-    a = random_stable_system(rng, 4, 2, 2)
-    b = random_stable_system(rng, 3, 2, 2)
-    d = difference_system(a, b)
-    assert d.n == 7
-    for s in probe_points(rng, 5):
-        assert_allclose(d.transfer(s), a.transfer(s) - b.transfer(s), rtol=1e-9, atol=1e-11)
-
-
-def test_difference_system_shape_mismatch(rng):
+def test_h2_error_shape_mismatch(rng):
     a = random_stable_system(rng, 4, 2, 2)
     b = random_stable_system(rng, 4, 1, 2)
     with pytest.raises(DimensionMismatch):
-        difference_system(a, b)
+        h2_error(a, b)
 
 
 def test_h2_error_properties(rng):
@@ -222,14 +212,14 @@ def test_h2_error_properties(rng):
     assert h2_error(a, a) == pytest.approx(0.0, abs=1e-9)
     e = h2_error(a, b)
     assert e == pytest.approx(h2_error(b, a), rel=1e-10)
-    assert e == pytest.approx(h2_oracle(difference_system(a, b)), rel=1e-6)
+    assert e == pytest.approx(h2_oracle(direct_sum(a, b)), rel=1e-6)
 
 
 def test_h2_error_matches_direct_sum_gramian(rng):
     for _ in range(5):
         a = random_stable_system(rng, int(rng.integers(1, 6)), 2, 3)
         b = random_stable_system(rng, int(rng.integers(1, 6)), 2, 3)
-        d = difference_system(a, b)
+        d = direct_sum(a, b)
         want = np.sqrt(np.trace(d.C @ lyapunov_oracle(d.A, d.B @ d.B.T) @ d.C.T))
         assert h2_error(a, b) == pytest.approx(want, rel=1e-9)
     empty = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -37,7 +39,7 @@ from blockred.sysrep import (
     controller_canonical,
     mfd_from_state_space,
 )
-from blockred import metrics, reduce
+from blockred import dompoles, metrics, reduce
 from blockred.metrics import h2_error, h2_norm
 
 from conftest import hankel_oracle, lyapunov_oracle, planted_block_system, probe_points
@@ -49,8 +51,6 @@ def test_tolerances_validation():
     Tolerances(h2_threshold=0.5)
     with pytest.raises(ValueError):
         Tolerances(re_threshold=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(match_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerances(h2_threshold=0.0)
     with pytest.raises(ValueError):
@@ -133,19 +133,15 @@ def test_match_solvents_reference_data():
     assert result.distances[2] > 0.1
     for i in (0, 1, 3):
         assert result.distances[i] <= 0.1
-    # tuple unpacking yields (kept, discarded) index sets
-    keep, discard = match_solvents_to_poles(cs, poles, match_tol=0.1)
-    assert keep == {0, 1, 3}
-    assert discard == {2}
 
 
 def test_match_accepts_plain_values():
     mats = [np.diag([-1.0, -2.0]), np.diag([-8.0, -9.0])]
     D = denominator_from_solvents(mats)
     cs = validate_complete_set(D, mats)
-    keep, discard = match_solvents_to_poles(cs, [-1.0 + 0.0j, -2.0], 0.1)
-    assert keep == {0}
-    assert discard == {1}
+    result = match_solvents_to_poles(cs, [-1.0 + 0.0j, -2.0], 0.1)
+    assert result.matched == (0,)
+    assert result.unmatched == (1,)
 
 
 def test_trim_subsystem_eigen_real_split(rng):
@@ -452,7 +448,7 @@ def _two_step_fraction():
 def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
     # every guard attempt reads the one ErrorGuard of its reduction, built
     # with a single sign iteration on the full controller form, eigenvalue
-    # trims included; a dominant reduction adds one for its reported H2 error
+    # trims included, and the reported H2 error is the guard's as well
     calls = []
     original = metrics._sign_steps
 
@@ -477,7 +473,36 @@ def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
     assert reports["dominant"].iterations == 2 and trims == 2
     assert reports["latent"].iterations == 2 and len(reports["latent"].eliminated) == 2
     assert reports["latent-network"].iterations == 1
-    assert counts == {"dominant": 2, "trim": 2, "latent": 1, "latent-network": 1}
+    assert counts == {"dominant": 1, "trim": 1, "latent": 1, "latent-network": 1}
+
+
+def test_reduce_dominant_decomposes_the_full_system_once(monkeypatch):
+    # ranking, block dominance, claiming and every error output come from one
+    # modal form of the full controller form; only eigenvalue trims rebuild
+    # the trimmed block from its own modes
+    calls = []
+
+    def counting(original):
+        def wrapped(a, b, c, eps_sing):
+            calls.append(a.shape[0])
+            return original(a, b, c, eps_sing)
+        return wrapped
+
+    monkeypatch.setattr(dompoles, "modal_form", counting(dompoles.modal_form))
+    monkeypatch.setattr(reduce, "modal_form", counting(reduce.modal_form))
+    ss = load_power_network(fixed=True)
+    for kwargs in ({}, {"k": 2}, {"continue_blocks": False}):
+        calls.clear()
+        _, rep = reduce_dominant(ss, **kwargs)
+        assert rep.eliminated
+        assert calls == [8]
+    calls.clear()
+    _, rep = reduce_dominant(load_power_network(fixed=False))
+    assert rep.eliminated == [] and calls == [8]
+    calls.clear()
+    _, rep = reduce_dominant(ss, trim_eigen=True)
+    trims = sum(label.startswith("eigenvalues") for label in rep.eliminated)
+    assert trims == 1 and calls[0] == 8 and len(calls) == 1 + 2
 
 
 def test_reduce_latent_validates_no_intermediate_polynomial(monkeypatch):
@@ -535,9 +560,9 @@ def test_h2_gate_reads_the_full_norm_from_the_guard(monkeypatch):
 
 
 def test_h2_gate_measures_each_candidate():
-    # the last accepted candidate is the reduced model, whose H2 error the
-    # report recomputes end to end; a gate just above its relative error
-    # accepts it, one just below rolls the last step back
+    # the last accepted candidate is the reduced model, and the report gives
+    # the H2 error the guard measured for it; a gate just above its relative
+    # error accepts it, one just below rolls the last step back
     ss = load_power_network(fixed=True)
     full_norm = h2_norm(ss)
     for trim_eigen, order, rollback in ((False, 6, 8), (True, 5, 6)):
@@ -588,8 +613,9 @@ def test_reduce_latent_rejects_an_unstable_candidate(monkeypatch):
 
 
 def test_error_output_realizes_the_neglected_parts(rng):
-    # C_e on the controller form's (A, B) against the transfer of the parts
-    # it stands for: whole discarded blocks, and modes dropped from a block
+    # C_e, C times the spectral projector of the dropped modes of the full
+    # controller form, on that form's (A, B) against the transfer of the
+    # parts it stands for: whole discarded blocks, and modes dropped from a block
     D = denominator_from_solvents(
         [np.diag([-1.0, -2.0]), np.array([[-3.0, 4.0], [-4.0, -3.0]]), np.diag([-9.0, -12.0])]
     )
@@ -598,22 +624,52 @@ def test_error_output_realizes_the_neglected_parts(rng):
     css = controller_canonical(f)
     cset = compute_complete_set(D)
     bd = block_diagonalize(css, cset)
+    modes = modal_form(css.A, css.B, css.C, 1e-10)
+    owner = reduce._mode_owners(modes.values, [sol.eigenvalues for sol in cset.solvents])
     for discard in ({0}, {1}, {0, 2}, {0, 1, 2}):
-        c_err = reduce._error_output(bd, cset.vandermonde, {i: bd.blocks[i].c for i in discard})
+        c_err = reduce._dropped_output(modes, np.isin(owner, list(discard)))
+        assert not np.iscomplexobj(c_err)
         err = StateSpace(css.A, css.B, c_err)
         for s in probe_points(rng, 5):
-            want = sum(bd.select([i]).transfer(s) for i in discard)
+            want = BlockDiagonalRealization(tuple(bd.blocks[i] for i in discard)).transfer(s)
             assert_allclose(err.transfer(s), want, rtol=1e-9, atol=1e-12)
     # block k holds -9 and -12; -12 goes, and so does a whole block j
     k = next(i for i, blk in enumerate(bd.blocks) if abs(blk.eigenvalues[0] + 12.0) < 1e-6)
     j = 0 if k else 1
     block = bd.blocks[k]
-    modes = modal_form(block.a, block.b, block.c, 1e-10)
-    taken = reduce._take_modes(modes.values, [-12.0])
-    parts = {j: bd.blocks[j].c, k: (modes.outputs[:, taken] @ modes.rows[taken]).real}
-    err = StateSpace(css.A, css.B, reduce._error_output(bd, cset.vandermonde, parts))
-    neglected = BlockDiagonalRealization(
-        (bd.blocks[j], reduce._split_block_values(block, [-12.0])[1])
-    )
+    trimmed = reduce._take_modes(modes.values, [-12.0], owner != k)
+    c_err = reduce._dropped_output(modes, (owner == j) | (trimmed & (owner == k)))
+    err = StateSpace(css.A, css.B, c_err)
+    # the residue of -12 in block k, from its own left and right eigenvectors
+    theta, left, right = scipy.linalg.eig(block.a, left=True, right=True)
+    i = int(np.argmin(np.abs(theta + 12.0)))
+    residue = np.outer(block.c @ right[:, i], left[:, i].conj() @ block.b) / np.vdot(
+        left[:, i], right[:, i])
     for s in probe_points(rng, 5):
-        assert_allclose(err.transfer(s), neglected.transfer(s), rtol=1e-9, atol=1e-12)
+        want = bd.blocks[j].c @ np.linalg.solve(s * np.eye(2) - bd.blocks[j].a, bd.blocks[j].b)
+        assert_allclose(err.transfer(s), want + residue.real / (s + 12.0),
+                        rtol=1e-9, atol=1e-12)
+
+
+def _unvalued(label):
+    """An elimination label without its bracketed eigenvalues."""
+    return re.sub(r"\[[^]]*\]", "[]", label)
+
+
+def test_block_labels_do_not_depend_on_the_frequency_unit():
+    # s -> alpha s, realized as (alpha A, sqrt(alpha) B, sqrt(alpha) C), scales
+    # every pole and residue by alpha and leaves dominance indices and Hankel
+    # values as they are, so the same blocks go for the same relative error
+    rng = np.random.default_rng(20260822)
+    systems = [planted_block_system(rng)[0] for _ in range(30)]
+    for ss in systems:
+        red, rep = reduce_dominant(ss)
+        assert rep.eliminated
+        for alpha in (0.1, 0.01):
+            scaled = StateSpace(alpha * ss.A, np.sqrt(alpha) * ss.B, np.sqrt(alpha) * ss.C)
+            red_a, rep_a = reduce_dominant(scaled)
+            assert [_unvalued(label) for label in rep_a.eliminated] == [
+                _unvalued(label) for label in rep.eliminated]
+            assert rep_a.re_value == pytest.approx(rep.re_value, rel=1e-6)
+            assert_allclose(np.sort_complex(red_a.poles() / alpha),
+                            np.sort_complex(red.poles()), rtol=1e-8)

