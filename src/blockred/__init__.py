@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     UnstableSystem,
 )
-from .matpoly import LatentPair, MatrixPolynomial
+from .matpoly import MatrixPolynomial
 from .solvents import (
     CompleteSolventSet,
     Solvent,
@@ -88,7 +88,6 @@ __all__ = [
     "Gramians",
     "HankelSpectrum",
     "InvariantViolation",
-    "LatentPair",
     "MatchResult",
     "MatrixPolynomial",
     "NoCompleteSetFound",

@@ -2,6 +2,14 @@
 
 import numpy as np
 
+STABILITY_MARGIN = 1e-10  # least distance of a stable pole from the axis, per unit of ||A||_F
+
+
+def stable_by_margin(poles, size):
+    """Whether every pole lies left of -STABILITY_MARGIN * size, size being
+    the Frobenius norm of the state matrix the poles belong to."""
+    return not len(poles) or float(np.max(np.real(poles))) < -STABILITY_MARGIN * size
+
 
 def as_matrix(a, name="matrix"):
     from .errors import DimensionMismatch

@@ -12,7 +12,6 @@ determinant polynomial all live here.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -24,26 +23,9 @@ from .errors import (
     SingularLeadingCoefficient,
 )
 
-# Condition limit for treating a leading coefficient as invertible.
-COND_LIMIT = 1e10
 DEFAULT_TAU_NULL = 1e-6
 # A matrix whose condition number reaches 1 / eps_sing counts as singular.
 DEFAULT_EPS_SING = 1e-10
-
-
-@dataclass
-class LatentPair:
-    """A latent root with its latent vector(s).
-
-    right satisfies A(root) @ right ~ 0; left satisfies left.T @ A(root) ~ 0.
-    Residuals are the corresponding 2-norms after unit normalization.
-    """
-
-    root: complex
-    right: Optional[np.ndarray] = None
-    left: Optional[np.ndarray] = None
-    residual_right: Optional[float] = None
-    residual_left: Optional[float] = None
 
 
 @dataclass
@@ -227,9 +209,9 @@ class MatrixPolynomial:
         lead = self.coeffs[0]
         if self.is_monic:
             return self
-        if cond2(lead) >= COND_LIMIT:
+        if cond2(lead) >= 1.0 / DEFAULT_EPS_SING:
             raise SingularLeadingCoefficient(
-                f"leading coefficient condition {cond2(lead):.2e} exceeds {COND_LIMIT:.0e}"
+                f"leading coefficient condition {cond2(lead):.2e} exceeds {1.0 / DEFAULT_EPS_SING:.0e}"
             )
         lu = np.linalg.inv(lead)
         coeffs = np.empty_like(self.coeffs)
@@ -287,12 +269,6 @@ class MatrixPolynomial:
             v = phase_normalize(U[:, -1].conj())
             residual = float(np.linalg.norm(v @ A))
         return v, residual
-
-    def latent_pair(self, root, tau_null=DEFAULT_TAU_NULL):
-        """Both-sided latent information at one root."""
-        right, res_r = self.latent_vector(root, "right", tau_null)
-        left, res_l = self.latent_vector(root, "left", tau_null)
-        return LatentPair(complex(root), right, left, res_r, res_l)
 
     # -- scalar determinant ---------------------------------------------
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_matrix
+from ._util import STABILITY_MARGIN, as_matrix, stable_by_margin
 from .errors import (
     DimensionMismatch,
     FeedthroughMismatch,
@@ -79,9 +79,6 @@ def as_state_space(system):
     raise DimensionMismatch(f"unsupported system type {type(system).__name__}")
 
 
-STABILITY_MARGIN = 1e-10  # least distance of a stable pole from the axis, per unit of ||A||_F
-
-
 def _require_stable_values(poles, size, what):
     """UnstableSystem unless every pole lies left of -STABILITY_MARGIN * size.
 
@@ -91,8 +88,8 @@ def _require_stable_values(poles, size, what):
     axis may come out slightly stable; the margin makes such a pole count as
     unstable instead of yielding a gramian of size 1e15.
     """
-    worst = float(np.max(np.real(poles))) if len(poles) else -np.inf
-    if not worst < -STABILITY_MARGIN * size:
+    if not stable_by_margin(poles, size):
+        worst = float(np.max(np.real(poles)))
         raise UnstableSystem(
             f"{what} needs a stable system (max Re pole = {worst:.6g}, "
             f"required below {-STABILITY_MARGIN * size:.3g})"

@@ -43,13 +43,13 @@ from .errors import (
     NonDiagonalizableBlock,
     NotALatentRoot,
 )
-from .dompoles import _ranked_modes, modal_form
+from .dompoles import _conjugate_partners, _ranked_modes, modal_form
 from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, mul_linear, poly_mul
 from .metrics import ErrorGuard, _require_stable, as_state_space, relative_error
 from .solvents import (
-    _cluster_roots,
-    _conjugate_units,
+    _root_units,
     _size_combinations,
+    _unit_roots,
     compute_complete_set,
     solvent_from_roots,
 )
@@ -129,17 +129,11 @@ def _h2_gate(guard, c_err, tol):
 def _elimination_candidates(D, tol, limit=200):
     """Conjugate-closed root selections of size m, leftmost roots first,
     each with the latent roots it leaves behind."""
-    m = D.block_size
-    roots = D.latent_roots()
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    clusters = _cluster_roots(list(roots), scale)
-    units = _conjugate_units(clusters, D.is_real, scale)
-    sizes = [sum(mult for _, mult in u) for u in units]
-    for count, combo in enumerate(_size_combinations(range(len(units)), sizes, m), 1):
+    units, sizes, _ = _root_units(D.latent_roots(), D.is_real)
+    for count, combo in enumerate(_size_combinations(range(len(units)), sizes, D.block_size), 1):
         sel, rest = [], []
-        for c in range(len(units)):
-            for z, mult in units[c]:
-                (sel if c in combo else rest).extend([z] * mult)
+        for c, unit in enumerate(units):
+            (sel if c in combo else rest).extend(_unit_roots(unit))
         yield sel, rest
         if count >= limit:
             return
@@ -352,41 +346,34 @@ def _assemble_modal_block(modes, indices, real_output=True):
     """
     m, p = modes.inputs.shape[1], modes.outputs.shape[0]
     indices = list(indices)
+    partner = _conjugate_partners(modes.values) if real_output else {}
+    kept = set(indices)
     order = sorted(indices, key=lambda i: (modes.values[i].real, modes.values[i].imag))
     used = set()
     a_parts, b_parts, c_parts = [], [], []
     for i in order:
         if i in used:
             continue
-        used.add(i)
         lam, brow, ccol = complex(modes.values[i]), modes.inputs[i], modes.outputs[:, i]
         if not real_output:
             a_parts.append(np.array([[lam]], dtype=complex))
             b_parts.append(np.asarray(brow, dtype=complex).reshape(1, m))
             c_parts.append(np.asarray(ccol, dtype=complex).reshape(p, 1))
             continue
-        if abs(lam.imag) <= 1e-10 * max(1.0, abs(lam)):
+        if i not in partner:
             a_parts.append(np.array([[lam.real]]))
             b_parts.append(np.asarray(brow).real.reshape(1, m))
             c_parts.append(np.asarray(ccol).real.reshape(p, 1))
             continue
-        # find and consume the conjugate partner
-        partner = None
-        for j in indices:
-            if j not in used and abs(np.conj(lam) - modes.values[j]) <= 1e-8 * max(1.0, abs(lam)):
-                partner = j
-                break
-        if partner is None:
+        if partner[i] not in kept:
             raise ConjugateBreak(
                 f"eigenvalue {_fmt_value(lam)} kept without its conjugate"
             )
-        used.add(partner)
+        used.add(partner[i])
         if lam.imag < 0:  # work with the positive-imaginary member
-            lam = complex(modes.values[partner])
-            brow, ccol = modes.inputs[partner], modes.outputs[:, partner]
+            i = partner[i]
+            lam, brow, ccol = complex(modes.values[i]), modes.inputs[i], modes.outputs[:, i]
         al, be = lam.real, lam.imag
-        brow = np.asarray(brow)
-        ccol = np.asarray(ccol)
         a_parts.append(np.array([[al, -be], [be, al]]))
         b_parts.append(np.vstack([brow.real.reshape(1, m), brow.imag.reshape(1, m)]))
         c_parts.append(np.hstack([
@@ -503,15 +490,11 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     work = {i: bd.blocks[i] for i in range(len(bd.blocks)) if i not in discard}
     if trim_eigen and eliminated and work:
         last = min(work, key=lambda j: dom[j])
-        values = spectra[last]
-        scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
-        units = _conjugate_units(
-            _cluster_roots(list(values), scale), not np.iscomplexobj(work[last].a), scale
-        )
+        units, _, _ = _root_units(spectra[last], not np.iscomplexobj(work[last].a))
         steps = []  # (modes of the unit, its values) per unit of block `last`
         held = owner != last
         for u in units:
-            drop_vals = [z for z, mult in u for _ in range(mult)]
+            drop_vals = _unit_roots(u)
             try:
                 taken = _take_modes(modes.values, drop_vals, held)
             except NotALatentRoot:

@@ -6,6 +6,13 @@ L**r + L**(r-1) A_1 + ... + A_r = 0.  A complete set of r right solvents has
 pairwise disjoint spectra whose union is the latent root multiset, and a
 nonsingular block Vandermonde matrix.  Solvents are assembled from latent
 pairs: R = V diag(roots) inv(V) with latent vectors as columns of V.
+
+Every solvent built from latent roots starts from one partition of those
+roots (_root_units): numerically equal roots form (root, multiplicity)
+clusters, and for a real polynomial a complex cluster travels with its
+mirror in one conjugate unit.  A unit's latent vectors are computed once,
+the mirror cluster taking the conjugate ones, so a solvent of a
+conjugate-closed group is real.
 """
 
 from dataclasses import dataclass, field
@@ -29,10 +36,12 @@ from .errors import (
     NoCompleteSetFound,
     SingularVandermonde,
 )
-from .matpoly import DEFAULT_EPS_SING, DEFAULT_TAU_NULL, LatentPair, MatrixPolynomial
+from .matpoly import DEFAULT_EPS_SING, DEFAULT_TAU_NULL, MatrixPolynomial
 
 DEFAULT_TAU_GAP = 1e-6
 DEFAULT_NODE_BUDGET = 10000
+_SEARCH_RESIDUAL = 1e-6  # largest solvent residual the complete-set search accepts
+_TAU_MATCH = 1e-6  # largest distance of a set's eigenvalues from the latent roots, per scale
 
 
 @dataclass
@@ -108,26 +117,15 @@ def is_solvent(P, X, side="right", tol=1e-8):
 
 
 def solvent_from_latent(pairs, side="right", polynomial=None, eps_sing=DEFAULT_EPS_SING):
-    """Build a solvent from latent pairs via the spectral formula.
+    """Build a solvent from (root, latent vector) pairs via the spectral formula.
 
     For side "right" the latent vectors become columns of V and
     R = V diag(roots) inv(V); for side "left" they become rows of W and
     L = inv(W) diag(roots) W.  Raises DependentVectors when the vector matrix
     is numerically singular.
     """
-    roots = []
-    vecs = []
-    for p in pairs:
-        if isinstance(p, LatentPair):
-            v = p.right if side == "right" else p.left
-            if v is None:
-                raise DependentVectors(f"latent pair at {p.root} lacks a {side} vector")
-            roots.append(complex(p.root))
-            vecs.append(np.asarray(v, dtype=complex))
-        else:
-            root, v = p
-            roots.append(complex(root))
-            vecs.append(np.asarray(v, dtype=complex))
+    roots = [complex(root) for root, _ in pairs]
+    vecs = [np.asarray(v, dtype=complex) for _, v in pairs]
     m = vecs[0].shape[0]
     if len(vecs) != m:
         raise DimensionMismatch(f"need {m} latent pairs for {m}x{m} solvents, got {len(vecs)}")
@@ -172,7 +170,7 @@ def validate_complete_set(
     tol=1e-8,
     tau_gap=DEFAULT_TAU_GAP,
     eps_sing=DEFAULT_EPS_SING,
-    tau_match=1e-6,
+    tau_match=_TAU_MATCH,
 ):
     """Check the three completeness conditions and package the result.
 
@@ -182,7 +180,6 @@ def validate_complete_set(
     "vandermonde" (block Vandermonde condition number at or above 1/eps_sing).
     """
     mono = P.monic_normalized()
-    m = mono.block_size
     r = mono.degree
     if len(matrices) != r:
         raise IncompleteSet(
@@ -198,26 +195,8 @@ def validate_complete_set(
                 condition="residual",
             )
         solvents.append(Solvent(M, "right", residual=res))
-
     roots = mono.latent_roots()
-    scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
-    union = np.concatenate([s.eigenvalues for s in solvents])
-    dist = pair_distance(union, roots)
-    if dist > tau_match * scale:
-        raise IncompleteSet(
-            f"eigenvalue union misses the latent roots by {dist:.3e}",
-            condition="spectrum",
-        )
-    for i in range(len(solvents)):
-        for j in range(i + 1, len(solvents)):
-            d = np.abs(
-                solvents[i].eigenvalues[:, None] - solvents[j].eigenvalues[None, :]
-            ).min()
-            if d <= tau_gap * scale:
-                raise IncompleteSet(
-                    f"solvents {i} and {j} share spectrum (gap {d:.3e})",
-                    condition="overlap",
-                )
+    _check_spectra(solvents, roots, _root_scale(roots), tau_gap, tau_match)
     V = block_vandermonde([s.matrix for s in solvents])
     c = cond2(V)
     if not np.isfinite(c) or c >= 1.0 / eps_sing:
@@ -226,6 +205,36 @@ def validate_complete_set(
             condition="vandermonde",
         )
     return CompleteSolventSet(tuple(solvents), V, c)
+
+
+def _check_spectra(solvents, roots, scale, tau_gap, tau_match=_TAU_MATCH):
+    """IncompleteSet unless the solvents' eigenvalues together match the
+    latent roots and no two solvents share one."""
+    spectra = [s.eigenvalues for s in solvents]
+    dist = pair_distance(np.concatenate(spectra), roots)
+    if dist > tau_match * scale:
+        raise IncompleteSet(
+            f"eigenvalue union misses the latent roots by {dist:.3e}",
+            condition="spectrum",
+        )
+    overlap = _first_overlap(spectra, tau_gap * scale)
+    if overlap is not None:
+        i, j, d = overlap
+        raise IncompleteSet(
+            f"solvents {i} and {j} share spectrum (gap {d:.3e})",
+            condition="overlap",
+        )
+
+
+def _first_overlap(spectra, tol):
+    """(i, j, gap) for the first two spectra that come within tol of each
+    other, or None when they are pairwise disjoint."""
+    for i in range(len(spectra)):
+        for j in range(i + 1, len(spectra)):
+            d = np.abs(spectra[i][:, None] - spectra[j][None, :]).min()
+            if d <= tol:
+                return i, j, d
+    return None
 
 
 def denominator_from_solvents(matrices, eps_sing=DEFAULT_EPS_SING):
@@ -254,54 +263,54 @@ def denominator_from_solvents(matrices, eps_sing=DEFAULT_EPS_SING):
 
 # -- constructing complete sets from scratch ---------------------------------
 
-def _cluster_roots(roots, scale):
-    """Group numerically equal roots into (value, multiplicity) clusters."""
+def _root_scale(roots):
+    """The size the tolerances on a root list are relative to."""
+    return max(1.0, float(np.max(np.abs(roots), initial=0.0)))
+
+
+def _root_units(roots, real_poly):
+    """Partition latent roots into conjugate units.
+
+    Numerically equal roots (within 1e-8 of the scale) merge into one
+    (root, multiplicity) cluster.  A unit is a list of clusters: for a real
+    polynomial a complex cluster and its mirror of equal multiplicity travel
+    together, the one with negative imaginary part first; every other
+    cluster is a unit of its own.  Units come sorted by their first root.
+
+    Returns (units, sizes, scale): the root count of each unit, and the
+    scale the tolerances were relative to.
+    """
+    roots = sort_complex(roots)
+    scale = _root_scale(roots)
     tol = 1e-8 * scale
     clusters = []
-    for z in roots:  # roots come sorted
+    for z in roots:
         if clusters and abs(z - clusters[-1][0]) <= tol:
             val, mult = clusters[-1]
             clusters[-1] = ((val * mult + z) / (mult + 1), mult + 1)
         else:
             clusters.append((z, 1))
-    return clusters
-
-
-def _conjugate_units(clusters, real_poly, scale):
-    """Bundle conjugate cluster pairs so groups stay closed under conjugation.
-
-    Each unit is a list of (root, multiplicity) clusters.  For a real
-    polynomial a complex cluster and its mirror travel together; real clusters
-    (and every cluster of a complex polynomial) form singleton units.
-    """
-    tol = 1e-8 * scale
     units = []
     used = [False] * len(clusters)
     for i, (z, mult) in enumerate(clusters):
         if used[i]:
             continue
         used[i] = True
-        if real_poly and z.imag > tol:
-            # the conjugate partner sorts earlier (negative imaginary part)
+        unit = [(z, mult)]
+        if real_poly and abs(z.imag) > tol:
             for j, (w, wm) in enumerate(clusters):
                 if not used[j] and abs(np.conj(z) - w) <= tol and wm == mult:
                     used[j] = True
-                    units.append([(w, wm), (z, mult)])
+                    unit = [(z, mult), (w, wm)] if z.imag < 0 else [(w, wm), (z, mult)]
                     break
-            else:
-                units.append([(z, mult)])
-        elif real_poly and z.imag < -tol:
-            for j, (w, wm) in enumerate(clusters):
-                if not used[j] and abs(np.conj(z) - w) <= tol and wm == mult:
-                    used[j] = True
-                    units.append([(z, mult), (w, wm)])
-                    break
-            else:
-                units.append([(z, mult)])
-        else:
-            units.append([(z, mult)])
+        units.append(unit)
     units.sort(key=lambda u: (u[0][0].real, u[0][0].imag))
-    return units
+    return units, [sum(mult for _, mult in u) for u in units], scale
+
+
+def _unit_roots(unit):
+    """The roots of a unit, each repeated by its multiplicity."""
+    return [z for z, mult in unit for _ in range(mult)]
 
 
 def _null_basis(P, lam, mult, tau_null):
@@ -319,6 +328,28 @@ def _null_basis(P, lam, mult, tau_null):
     return Vh[-mult:].conj().T  # orthonormal columns
 
 
+def _unit_bases(P, unit, tau_null):
+    """Latent vectors of each cluster of a unit; a mirror cluster takes the
+    conjugates of its partner's."""
+    basis = _null_basis(P, *unit[0], tau_null)
+    return [basis, basis.conj()][:len(unit)]
+
+
+def _solvent_of_units(P, units, bases, eps_sing):
+    """Solvent of monic P whose spectrum is the roots of the given units,
+    bases[k] holding the latent vectors of units[k] (see _unit_bases).
+
+    The columns go in (real, imag) order of their roots.
+    """
+    clusters = sorted(
+        ((z, mult, b) for unit, unit_bases in zip(units, bases)
+         for (z, mult), b in zip(unit, unit_bases)),
+        key=lambda c: (c[0].real, c[0].imag),
+    )
+    pairs = [(z, b[:, k]) for z, mult, b in clusters for k in range(mult)]
+    return solvent_from_latent(pairs, "right", polynomial=P, eps_sing=eps_sing)
+
+
 def solvent_from_roots(P, roots, tau_null=DEFAULT_TAU_NULL, eps_sing=DEFAULT_EPS_SING):
     """Right solvent whose spectrum is the given subset of latent roots.
 
@@ -327,23 +358,12 @@ def solvent_from_roots(P, roots, tau_null=DEFAULT_TAU_NULL, eps_sing=DEFAULT_EPS
     """
     mono = P.monic_normalized()
     m = mono.block_size
-    roots = list(np.asarray(roots, dtype=complex).ravel())
-    if len(roots) != m:
-        raise DimensionMismatch(f"need exactly {m} roots, got {len(roots)}")
-    scale = max(1.0, max(abs(z) for z in roots))
-    clusters = _cluster_roots(sorted(roots, key=lambda z: (z.real, z.imag)), scale)
-    pairs = []
-    done = {}
-    for z, mult in clusters:
-        key = (round(z.real, 10), round(abs(z.imag), 10), mult)
-        if mono.is_real and abs(z.imag) > 1e-8 * scale and key in done:
-            basis = done[key].conj()
-        else:
-            basis = _null_basis(mono, z, mult, tau_null)
-            done[key] = basis
-        for k in range(mult):
-            pairs.append((z, basis[:, k]))
-    return solvent_from_latent(pairs, "right", polynomial=mono, eps_sing=eps_sing)
+    roots = np.asarray(roots, dtype=complex).ravel()
+    if roots.size != m:
+        raise DimensionMismatch(f"need exactly {m} roots, got {roots.size}")
+    units, _, _ = _root_units(roots, mono.is_real)
+    bases = [_unit_bases(mono, u, tau_null) for u in units]
+    return _solvent_of_units(mono, units, bases, eps_sing)
 
 
 def compute_complete_set(
@@ -355,11 +375,20 @@ def compute_complete_set(
 ):
     """Search for a complete right solvent set of a monic-normalizable P.
 
-    Latent roots are clustered, conjugate pairs are kept together, and groups
-    of size m are formed greedily from the most negative real parts outward,
-    with backtracking when vectors turn out dependent or the Vandermonde
-    matrix is ill conditioned.  Raises NoCompleteSetFound when the search
-    space (bounded by node_budget) holds no valid grouping.
+    The latent roots are partitioned once into conjugate units, and the
+    latent vectors of each unit are computed once.  Groups of size m are
+    formed greedily from the most negative real parts outward, with
+    backtracking when vectors turn out dependent, a solvent residual exceeds
+    1e-6, spectra overlap or the Vandermonde matrix is ill conditioned.  The
+    grouping found is checked once more, its solvents' eigenvalues against
+    the latent roots, and returned with the Vandermonde matrix and condition
+    its last test computed; a failing check raises IncompleteSet.
+
+    node_budget bounds the number of distinct groups whose solvent is built.
+    A group met again is read from a memo, and the enumeration of
+    combinations between builds is not counted, so neither costs any of the
+    budget.  Raises NoCompleteSetFound when the budget runs out or the search
+    space holds no valid grouping.
     """
     mono = P.monic_normalized()
     m = mono.block_size
@@ -370,95 +399,72 @@ def compute_complete_set(
         return validate_complete_set(P, [-np.asarray(mono.coeffs[1])], eps_sing=eps_sing, tau_gap=tau_gap)
 
     roots = mono.latent_roots()
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    clusters = _cluster_roots(list(roots), scale)
-    units = _conjugate_units(clusters, mono.is_real, scale)
-    sizes = [sum(mult for _, mult in u) for u in units]
+    units, sizes, scale = _root_units(roots, mono.is_real)
     if any(sz > m for sz in sizes):
         raise NoCompleteSetFound(
             "a root cluster (with its conjugate) exceeds the block size"
         )
+    unit_roots = [np.asarray(_unit_roots(u)) for u in units]
+    bases = []
+    for u in units:
+        try:
+            bases.append(_unit_bases(mono, u, tau_null))
+        except DefectiveRoot:
+            bases.append(None)
 
     budget = [node_budget]
     memo = {}
 
-    def build(group_idx):
-        key = tuple(group_idx)
-        if key in memo:
-            return memo[key]
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NoCompleteSetFound(f"node budget {node_budget} exhausted")
-        group_roots = []
-        for gi in group_idx:
-            for z, mult in units[gi]:
-                group_roots.extend([z] * mult)
-        try:
-            sol = solvent_from_roots(mono, group_roots, tau_null, eps_sing)
-            if sol.residual is not None and sol.residual > 1e-6:
-                raise DependentVectors(f"solvent residual {sol.residual:.3e}")
-        except (DependentVectors, DefectiveRoot) as exc:
-            memo[key] = exc
-            return exc
-        memo[key] = sol
-        return sol
+    def build(group):
+        # the solvent of a group of units, or None when there is none
+        if group not in memo:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise NoCompleteSetFound(f"node budget {node_budget} exhausted")
+            sol = None
+            if all(bases[i] is not None for i in group):
+                try:
+                    sol = _solvent_of_units(
+                        mono, [units[i] for i in group], [bases[i] for i in group], eps_sing
+                    )
+                except DependentVectors:
+                    pass
+                if sol is not None and sol.residual > _SEARCH_RESIDUAL:
+                    sol = None
+            memo[group] = sol
+        return memo[group]
 
-    def spectra_disjoint(groups):
-        eigs = []
-        for g in groups:
-            vals = []
-            for gi in g:
-                for z, mult in units[gi]:
-                    vals.extend([z] * mult)
-            eigs.append(np.asarray(vals))
-        for i in range(len(eigs)):
-            for j in range(i + 1, len(eigs)):
-                if np.abs(eigs[i][:, None] - eigs[j][None, :]).min() <= tau_gap * scale:
-                    return False
-        return True
-
-    solution = []
-
-    def dfs(free, groups):
+    def dfs(free, chosen):
+        # chosen: (group, solvent) so far; returns (chosen, V, cond V) or None
         if not free:
-            if not spectra_disjoint(groups):
-                return False
-            mats = []
-            for g in groups:
-                sol = build(g)
-                if not isinstance(sol, Solvent):
-                    return False
-                mats.append(sol.matrix)
-            V = block_vandermonde(mats)
+            spectra = [np.concatenate([unit_roots[i] for i in g]) for g, _ in chosen]
+            if _first_overlap(spectra, tau_gap * scale) is not None:
+                return None
+            V = block_vandermonde([sol.matrix for _, sol in chosen])
             c = cond2(V)
             if not np.isfinite(c) or c >= 1.0 / eps_sing:
-                return False
-            solution.append(groups)
-            return True
-        seed = free[0]
-        rest = free[1:]
-        need = m - sizes[seed]
-        if need < 0:
-            return False
-        for combo in _size_combinations(rest, sizes, need):
+                return None
+            return chosen, V, c
+        seed, rest = free[0], free[1:]
+        for combo in _size_combinations(rest, sizes, m - sizes[seed]):
             group = (seed,) + combo
             sol = build(group)
-            if not isinstance(sol, Solvent):
+            if sol is None:
                 continue
-            remaining = [u for u in rest if u not in combo]
-            if dfs(remaining, groups + [group]):
-                return True
-        return False
+            found = dfs([u for u in rest if u not in combo], chosen + [(group, sol)])
+            if found is not None:
+                return found
+        return None
 
     found = dfs(list(range(len(units))), [])
-    if not found:
+    if found is None:
         raise NoCompleteSetFound(
             "no grouping of the latent roots yields a complete solvent set"
         )
-    mats = [build(g).matrix for g in solution[0]]
-    return validate_complete_set(
-        P, mats, tol=1e-6, tau_gap=tau_gap, eps_sing=eps_sing
-    )
+    chosen, V, c = found
+    solvents = tuple(Solvent(sol.matrix, "right", residual=sol.residual) for _, sol in chosen)
+    _check_spectra(solvents, roots, scale, tau_gap)
+    return CompleteSolventSet(solvents, V, c)
 
 
 def _size_combinations(candidates, sizes, need):

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_matrix, block_diag, cond2, realify, realify_each, sort_complex
+from ._util import (as_matrix, block_diag, cond2, realify, realify_each, sort_complex,
+                    stable_by_margin)
 from .errors import (
     DimensionMismatch,
     ImproperFraction,
@@ -84,8 +85,8 @@ class StateSpace:
         return sort_complex(np.linalg.eigvals(self.A))
 
     def is_stable(self):
-        p = self.poles()
-        return bool(p.size == 0 or np.max(p.real) < 0.0)
+        """Whether every pole lies left of -STABILITY_MARGIN ||A||_F."""
+        return stable_by_margin(self.poles(), float(np.linalg.norm(self.A)))
 
     def transfer(self, s, eps_sing=DEFAULT_EPS_SING):
         """Transfer matrix C (sI - A)^-1 B + D at a complex point."""
@@ -146,8 +147,8 @@ class RightMFD:
         return self.D.latent_roots()
 
     def is_stable(self):
-        p = self.poles()
-        return bool(p.size == 0 or np.max(p.real) < 0.0)
+        """Stability by the margin rule, on the block companion of D."""
+        return stable_by_margin(self.poles(), float(np.linalg.norm(self.D.companion())))
 
     def transfer(self, s, eps_sing=DEFAULT_EPS_SING):
         Dv = np.asarray(self.D.evaluate(s), dtype=complex)
@@ -170,7 +171,7 @@ def make_right_mfd(N, D, feedthrough=None):
     m = D.block_size
     if not D.is_monic:
         lead = np.asarray(D.coeffs[0])
-        if cond2(lead) >= 1e10:
+        if cond2(lead) >= 1.0 / DEFAULT_EPS_SING:
             raise NotMonic("denominator leading coefficient is numerically singular")
         W = np.linalg.inv(lead)
         D = MatrixPolynomial._from_stack(realify_each(D.coeffs @ W, 1e-12))
@@ -261,8 +262,9 @@ class BlockDiagonalRealization:
         return sort_complex(np.concatenate([b.eigenvalues for b in self.blocks]))
 
     def is_stable(self):
-        po = self.poles()
-        return bool(po.size == 0 or np.max(po.real) < 0.0)
+        """Stability by the margin rule, on the direct sum of the blocks."""
+        size = np.linalg.norm([np.linalg.norm(b.a) for b in self.blocks])
+        return stable_by_margin(self.poles(), float(size))
 
     def transfer(self, s, eps_sing=DEFAULT_EPS_SING):
         total = np.array(self.feedthrough, dtype=complex)
@@ -374,8 +376,10 @@ def block_diagonalize(sys, solvent_set, tol=1e-8, eps_sing=DEFAULT_EPS_SING):
     """Decouple a block controller form system along a complete solvent set.
 
     Similarity with the block Vandermonde matrix of the set turns the state
-    matrix into a direct sum of the solvents.  Raises NotDecoupled when the
-    off-diagonal residue shows the system and the set do not belong together.
+    matrix into a direct sum of the solvents.  The matrix and its condition
+    are read from the set, as computed when the set was checked.  Raises
+    NotDecoupled when the off-diagonal residue shows the system and the set
+    do not belong together.
     """
     if not isinstance(sys, StateSpace):
         raise DimensionMismatch("block_diagonalize expects a StateSpace")
@@ -386,7 +390,7 @@ def block_diagonalize(sys, solvent_set, tol=1e-8, eps_sing=DEFAULT_EPS_SING):
             f"system order {sys.n} does not match {r} blocks of size {m}"
         )
     V = solvent_set.vandermonde
-    c = cond2(V)
+    c = solvent_set.condition
     if not np.isfinite(c) or c >= 1.0 / eps_sing:
         raise SingularVandermonde(f"block Vandermonde condition {c:.3e}")
     Ar = np.linalg.solve(V, sys.A @ V)

@@ -23,6 +23,31 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name, *owners) wraps the function `name` of each owner (a
+    module or a class) for the rest of the test and returns the list that
+    every call appends its positional arguments to.  An owner that does not
+    bind the name gets the first owner's function, so that a later import of
+    it there is counted too."""
+    def install(name, *owners):
+        calls = []
+
+        def counting(original):
+            def wrapped(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return wrapped
+
+        first = getattr(owners[0], name)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name, first)),
+                                raising=False)
+        return calls
+
+    return install
+
+
 # -- builders -----------------------------------------------------------------
 
 def random_monic_poly(rng, m, r, root_scale=2.0):

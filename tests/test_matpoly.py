@@ -298,15 +298,6 @@ def test_latent_vector_scalar_polynomial():
         P.latent_vector(-1.5)
 
 
-def test_latent_pair_consistency(rng):
-    P = random_monic_poly(rng, 2, 2)
-    z = P.latent_roots()[0]
-    pair = P.latent_pair(z)
-    assert pair.root == pytest.approx(complex(z))
-    assert pair.residual_right < 1e-6
-    assert pair.residual_left < 1e-6
-
-
 def test_determinant_polynomial_known_case():
     # diag(s^2 + 3 s + 2, s^2 + 3 s + 2) has determinant (s^2 + 3 s + 2)^2
     P = MatrixPolynomial([np.eye(2), 3 * np.eye(2), 2 * np.eye(2)])

@@ -188,6 +188,24 @@ def test_trim_subsystem_eigen_conjugate_break(rng):
     assert out.io_shape == (1, 1)
 
 
+def test_modal_block_keeps_conjugate_pairs_together(rng):
+    # a complex mode's partner is the one modal_form pairs it with: kept
+    # together they give one real rotation block, kept alone they break
+    a = scipy.linalg.block_diag([[-1.0, 2.0], [-2.0, -1.0]], [[-3.0]])
+    b, c = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+    modes = modal_form(a, b, c, 1e-10)
+    pair = [i for i in range(3) if modes.values[i].imag != 0.0]
+    (real,) = [i for i in range(3) if modes.values[i].imag == 0.0]
+    for kept in ([pair[0], real], [pair[1]]):
+        with pytest.raises(ConjugateBreak):
+            reduce._assemble_modal_block(modes, kept)
+    blk = reduce._assemble_modal_block(modes, [real] + pair)
+    assert not np.iscomplexobj(blk.a) and blk.size == 3
+    full = StateSpace(a, b, c)
+    for s in probe_points(rng, 4):
+        assert_allclose(StateSpace(blk.a, blk.b, blk.c).transfer(s), full.transfer(s), rtol=1e-12)
+
+
 def test_trim_preserves_remaining_transfer(rng):
     # dropping a conjugate pair from a 4-state block keeps the other pair's
     # contribution bit-consistent with a direct modal evaluation
@@ -445,18 +463,11 @@ def _two_step_fraction():
     return RightMFD(MatrixPolynomial([n1, n0]), D)
 
 
-def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
+def test_guards_of_a_reduction_share_one_sign_iteration(count_calls):
     # every guard attempt reads the one ErrorGuard of its reduction, built
     # with a single sign iteration on the full controller form, eigenvalue
     # trims included, and the reported H2 error is the guard's as well
-    calls = []
-    original = metrics._sign_steps
-
-    def counting(bases):
-        calls.append(len(bases))
-        return original(bases)
-
-    monkeypatch.setattr(metrics, "_sign_steps", counting)
+    calls = count_calls("_sign_steps", metrics)
     ss = load_power_network(fixed=True)
     runs = {
         "dominant": lambda: reduce_dominant(ss),
@@ -476,74 +487,50 @@ def test_guards_of_a_reduction_share_one_sign_iteration(monkeypatch):
     assert counts == {"dominant": 1, "trim": 1, "latent": 1, "latent-network": 1}
 
 
-def test_reduce_dominant_decomposes_the_full_system_once(monkeypatch):
+def test_reduce_dominant_decomposes_the_full_system_once(count_calls):
     # ranking, block dominance, claiming and every error output come from one
     # modal form of the full controller form; only eigenvalue trims rebuild
     # the trimmed block from its own modes
-    calls = []
+    calls = count_calls("modal_form", dompoles, reduce)
 
-    def counting(original):
-        def wrapped(a, b, c, eps_sing):
-            calls.append(a.shape[0])
-            return original(a, b, c, eps_sing)
-        return wrapped
+    def orders():
+        return [args[0].shape[0] for args in calls]
 
-    monkeypatch.setattr(dompoles, "modal_form", counting(dompoles.modal_form))
-    monkeypatch.setattr(reduce, "modal_form", counting(reduce.modal_form))
     ss = load_power_network(fixed=True)
     for kwargs in ({}, {"k": 2}, {"continue_blocks": False}):
         calls.clear()
         _, rep = reduce_dominant(ss, **kwargs)
         assert rep.eliminated
-        assert calls == [8]
+        assert orders() == [8]
     calls.clear()
     _, rep = reduce_dominant(load_power_network(fixed=False))
-    assert rep.eliminated == [] and calls == [8]
+    assert rep.eliminated == [] and orders() == [8]
     calls.clear()
     _, rep = reduce_dominant(ss, trim_eigen=True)
     trims = sum(label.startswith("eigenvalues") for label in rep.eliminated)
-    assert trims == 1 and calls[0] == 8 and len(calls) == 1 + 2
+    assert trims == 1 and orders()[0] == 8 and len(calls) == 1 + 2
 
 
-def test_reduce_latent_validates_no_intermediate_polynomial(monkeypatch):
+def test_reduce_latent_validates_no_intermediate_polynomial(count_calls):
     # quotients, products and normalized forms are built from validated
     # polynomials and skip the validating constructor
-    calls = []
-    original = MatrixPolynomial.__init__
-
-    def counting(self, coeffs):
-        calls.append(1)
-        original(self, coeffs)
-
     D = denominator_from_solvents([np.diag([-1.0, -2.0]), np.diag([-40.0, -50.0])])
     N = MatrixPolynomial([np.eye(2), np.diag([40.0, 50.0]) + 1e-3])  # (sI - fast) + tiny
-    for fraction, steps in ((_two_step_fraction(), 2), (RightMFD(N, D), 1)):
-        monkeypatch.setattr(MatrixPolynomial, "__init__", counting)
+    cases = ((_two_step_fraction(), 2), (RightMFD(N, D), 1))
+    calls = count_calls("__init__", MatrixPolynomial)
+    for fraction, steps in cases:
+        calls.clear()
         _, rep = reduce_latent(fraction, Tolerances(re_threshold=0.05))
-        monkeypatch.undo()
         assert len(rep.eliminated) == steps
         assert len(calls) <= 1
-        calls.clear()
 
 
-def test_h2_gate_reads_the_full_norm_from_the_guard(monkeypatch):
+def test_h2_gate_reads_the_full_norm_from_the_guard(count_calls):
     # the relative H2 gate divides by the full system's H2 norm, which the
     # guard holds: setting the gate adds no H2 norm and no sign iteration
     ss = load_power_network(fixed=True)
-    norms, steps = [], []
-    original_norm, original_steps = metrics.h2_norm, metrics._sign_steps
-
-    def counting_norm(system):
-        norms.append(1)
-        return original_norm(system)
-
-    def counting_steps(bases):
-        steps.append(1)
-        return original_steps(bases)
-
-    monkeypatch.setattr(metrics, "h2_norm", counting_norm)
-    monkeypatch.setattr(reduce, "h2_norm", counting_norm, raising=False)
-    monkeypatch.setattr(metrics, "_sign_steps", counting_steps)
+    norms = count_calls("h2_norm", metrics, reduce)
+    steps = count_calls("_sign_steps", metrics)
 
     def run(h2_threshold):
         norms.clear()

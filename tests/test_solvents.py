@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blockred import matpoly, solvents
+from blockred.data import load_power_network
 from blockred.errors import (
     DefectiveRoot,
     DimensionMismatch,
@@ -25,6 +27,8 @@ from blockred.solvents import (
     solvent_residual,
     validate_complete_set,
 )
+from blockred.sysrep import mfd_from_state_space
+from conftest import random_monic_poly
 
 
 def separated_matrices(rng, m, r, gap=2.0):
@@ -277,6 +281,48 @@ def test_compute_complete_set_no_solvent_at_all():
     ])
     with pytest.raises(NoCompleteSetFound):
         compute_complete_set(P)
+
+
+def test_search_set_passes_the_public_check(rng):
+    # the search checks its grouping once and hands on the Vandermonde matrix
+    # and condition of that check; the public check of the same matrices
+    # accepts them and agrees bit for bit
+    polys = [random_monic_poly(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+             for _ in range(12)]
+    polys += [mfd_from_state_space(load_power_network(fixed)).D for fixed in (False, True)]
+    checked = 0
+    for P in polys:
+        try:
+            cs = compute_complete_set(P)
+        except NoCompleteSetFound:
+            continue
+        again = validate_complete_set(P, cs.matrices)
+        assert again.condition == cs.condition
+        assert np.array_equal(again.vandermonde, cs.vandermonde)
+        for got, want in zip(cs.solvents, again.solvents):
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        checked += 1
+    assert checked >= 8
+
+
+def test_search_computes_each_latent_basis_once(count_calls):
+    # diag((s+1)(s+2), (s+3)(s+4)): the roots -4 and -3 share the latent
+    # vector e2, so the first grouping fails and the search backtracks; the
+    # four units still need only four bases and one latent root solve
+    bases = count_calls("_null_basis", solvents)
+    roots = count_calls("latent_roots", matpoly.MatrixPolynomial)
+    P = MatrixPolynomial([np.eye(2), np.diag([3.0, 7.0]), np.diag([2.0, 12.0])])
+    cs = compute_complete_set(P)
+    spectra = sorted(tuple(s.eigenvalues.real) for s in cs.solvents)
+    assert_allclose(spectra, [(-4.0, -2.0), (-3.0, -1.0)], atol=1e-12)
+    assert len(bases) == 4 and len(roots) == 1
+
+    # a conjugate pair is one unit: its mirror takes the conjugate basis
+    bases.clear()
+    mats = [np.array([[-1.0, 2.0], [-2.0, -1.0]]), np.diag([-3.0, -4.0]),
+            np.array([[-5.0, 1.0], [-1.0, -5.0]])]
+    cs = compute_complete_set(denominator_from_solvents(mats))
+    assert len(cs) == 3 and len(bases) == 4
 
 
 def _filtered_combinations(candidates, sizes, need):

@@ -10,8 +10,10 @@ from blockred.errors import (
     NotDecoupled,
     NotMonic,
     ProbeAtPole,
+    UnstableSystem,
 )
 from blockred.matpoly import MatrixPolynomial
+from blockred.metrics import h2_norm
 from blockred.solvents import denominator_from_solvents, validate_complete_set
 from blockred.sysrep import (
     BlockDiagonalRealization,
@@ -76,6 +78,28 @@ def test_poles_and_stability():
     ss = StateSpace(np.diag([-1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2)))
     assert not ss.is_stable()
     assert_allclose(np.sort(ss.poles().real), [-1.0, 2.0])
+
+
+def test_is_stable_applies_the_solvers_margin():
+    # A = T diag(0, -1, -2, -3) inv(T): rounding leaves the pole at 0 slightly
+    # left of the axis in 17 of 50 draws, but within the margin every solver
+    # requires, so no representation may call the system stable
+    rng = np.random.default_rng(0)
+    below_axis = 0
+    for _ in range(50):
+        T = rng.standard_normal((4, 4))
+        B = rng.standard_normal((4, 2))
+        C = rng.standard_normal((2, 4))
+        A = T @ np.diag([0.0, -1.0, -2.0, -3.0]) @ np.linalg.inv(T)
+        ss = StateSpace(A, B, C)
+        below_axis += bool(np.max(ss.poles().real) < 0.0)
+        frac = mfd_from_state_space(ss)
+        bd = BlockDiagonalRealization((DiagonalBlock(A, B, C),))
+        for system in (ss, frac, bd):
+            assert not system.is_stable()
+            with pytest.raises(UnstableSystem):
+                h2_norm(system)
+    assert below_axis == 17
 
 
 def test_mfd_transfer_definition(rng):
