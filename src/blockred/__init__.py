@@ -4,8 +4,8 @@ solvents.
 The package works with square matrix polynomials and three interchangeable
 system representations (state space, right matrix fraction, decoupled block
 diagonal).  Two reduction pipelines are provided: latent root elimination on
-the matrix fraction, and dominant-pole-guided block elimination on the
-decoupled form.
+the matrix fraction, and dominant-pole-guided block elimination on the modal
+form, one block of modes per solvent.
 """
 
 from .errors import (

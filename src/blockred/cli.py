@@ -25,7 +25,7 @@ from .metrics import as_state_space, h2_norm, hankel_singular_values
 from .reduce import Tolerances, reduce_dominant, reduce_latent
 from .solvents import compute_complete_set
 from .sysdoc import build_system, load_document, save_document
-from .sysrep import BlockDiagonalRealization, RightMFD, mfd_from_state_space, recompose
+from .sysrep import RightMFD, mfd_from_state_space
 
 log = logging.getLogger("blockred")
 
@@ -196,11 +196,8 @@ def cmd_reduce(args):
             frac = mfd_from_state_space(as_state_space(sys_obj), tol.eps_sing)
         reduced, report = reduce_latent(frac, tol, hankel_power=args.hankel_power)
     else:
-        source = sys_obj
-        if isinstance(source, BlockDiagonalRealization):
-            source = recompose(source)
         reduced, report = reduce_dominant(
-            source, tol, k=args.k,
+            sys_obj, tol, k=args.k,
             continue_blocks=not args.no_continue_blocks,
             trim_eigen=args.trim_eigen,
             hankel_power=args.hankel_power,

@@ -7,7 +7,8 @@ small, so one eigendecomposition of A yields every pole with its residue at
 once: the ranking is exact, G(s) may have any number of inputs and outputs,
 and no iteration is involved that could fail to converge.  modal_form is that
 decomposition for any (a, b, c) triple; reduce_dominant reads its ranking,
-block dominance and error outputs from one modal_form of the full system.
+block dominance, error outputs and reduced model from one modal_form of the
+full system.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .errors import (
     NoConvergence,
     NonDiagonalizableBlock,
 )
+from .matpoly import DEFAULT_EPS_SING
 from .metrics import as_state_space
 
 
@@ -182,7 +184,7 @@ def _ranked_modes(modes, count, real_system):
     return [i for i in ranked if i in chosen]
 
 
-def dominant_poles(system, count, eps_sing=1e-10):
+def dominant_poles(system, count, eps_sing=DEFAULT_EPS_SING):
     """The `count` most dominant poles of a system, most dominant first.
 
     One dense eigendecomposition of A gives every pole with its residue; the

@@ -10,12 +10,13 @@ Two pipelines:
   back.
 
 * reduce_dominant: work on a state-space system.  Extract the matrix
-  fraction, compute a complete solvent set and decouple the system into
-  blocks.  One modal decomposition of the full system then ranks the poles
+  fraction and compute a complete solvent set; each solvent is a block of
+  modes.  One modal decomposition of the full system then ranks the poles
   by dominance; a block is claimed when it owns a dominant pole.  Eliminate
   the unclaimed blocks, then keep eliminating the least dominant blocks
   while the relative error allows.  Optionally individual eigenvalues
-  inside kept blocks are trimmed as well.
+  inside kept blocks are trimmed as well.  The reduced model is the modal
+  realization of the modes kept.
 
 Every elimination is guarded by the relative error RE of the neglected part
 against the full system (and optionally by a relative H2 error gate).  Both
@@ -35,12 +36,10 @@ from ._util import block_diag, is_conjugate_closed, realify_each
 from .errors import (
     AlreadyMinimal,
     ConjugateBreak,
-    DegenerateEigenvector,
     DependentVectors,
     DefectiveRoot,
     DimensionMismatch,
     NoEliminableSolvent,
-    NonDiagonalizableBlock,
     NotALatentRoot,
 )
 from .dompoles import _conjugate_partners, _ranked_modes, modal_form
@@ -57,11 +56,10 @@ from .sysrep import (
     BlockDiagonalRealization,
     DiagonalBlock,
     RightMFD,
-    block_diagonalize,
+    StateSpace,
     controller_canonical,
     controller_output,
     mfd_from_state_space,
-    recompose,
 )
 
 
@@ -287,7 +285,7 @@ def _dropped_output(modes, dropped, real_output=True):
     return c.real if real_output else c
 
 
-def _trimmed_block(block, drop_values, eps_sing=1e-10):
+def _trimmed_block(block, drop_values, eps_sing):
     """Modal realization of one diagonal block without the eigenvalues
     drop_values.
 
@@ -404,14 +402,14 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
                     hankel_power=4):
     """Reduce a state-space system by discarding non-dominant solvent blocks.
 
-    Pipeline: extract the right matrix fraction, compute a complete solvent
-    set of its denominator and decouple the system into one block per
-    solvent.  One modal decomposition of the full controller form then
-    drives every decision.  Each block owns the modes of its spectrum, and
-    its dominance is the largest among them.  The modes are ranked by
-    dominance (the k most dominant, or all of them, less those under the
-    dominance cut-off), and a block is claimed when it owns one of those
-    modes.  The unclaimed blocks are discarded, least dominant first.  When
+    Pipeline: extract the right matrix fraction and compute a complete
+    solvent set of its denominator, one block per solvent.  One modal
+    decomposition of the full controller form then drives every decision
+    and gives the reduced model.  Each block owns the modes of its
+    spectrum, and its dominance is the largest among them.  The modes are
+    ranked by dominance (the k most dominant, or all of them, less those
+    under the dominance cut-off), and a block is claimed when it owns one of
+    those modes.  The unclaimed blocks are discarded, least dominant first.  When
     that phase eliminated something and continue_blocks is set, elimination
     proceeds to the least dominant claimed blocks, and with trim_eigen to
     individual eigenvalues of the least dominant remaining block (finer
@@ -419,8 +417,14 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     the relative error of everything neglected so far, whose error output is
     C times the spectral projector of all the modes dropped; a step that
     breaches the threshold is rolled back and ends elimination at that
-    granularity.  The reported H2 error is the guard's for the last accepted
-    step.
+    granularity.  An eigenvalue trim that would drop one member of a
+    conjugate pair of modes without the other is passed over.  The reported
+    H2 error is the guard's for the last accepted step.
+
+    The reduced model is the modal realization of the modes kept (a real
+    state per real mode, a 2x2 rotation block per conjugate pair), so it is
+    the model the guard measured.  Raises ConjugateBreak when a discarded
+    block takes one member of a conjugate pair of modes and leaves the other.
 
     Returns (StateSpace, ReductionReport).
     """
@@ -439,7 +443,6 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         tau_null=tol.tau_null,
         node_budget=tol.node_budget,
     )
-    bd = block_diagonalize(css, cset, eps_sing=tol.eps_sing)
     n = css.n
 
     modes = modal_form(css.A, css.B, css.C, tol.eps_sing)
@@ -455,7 +458,6 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     # with no block left unclaimed no guard runs
     guard = ErrorGuard(css) if len(claimed) < len(spectra) else None
     eliminated = []
-    discard = set()
     dropped = np.zeros(n, dtype=bool)
     re_val = 0.0
     h2_abs = 0.0
@@ -481,16 +483,16 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         for i in indices:
             if not attempt(owner == i, f"block {i} [{_fmt_values(spectra[i])}] ({reason})"):
                 return
-            discard.add(i)
 
     discard_blocks([i for i in by_dominance if i not in claimed], "no dominant pole")
     if continue_blocks and eliminated and not breached:
         discard_blocks([i for i in by_dominance if i in claimed], "least dominant")
 
-    work = {i: bd.blocks[i] for i in range(len(bd.blocks)) if i not in discard}
-    if trim_eigen and eliminated and work:
-        last = min(work, key=lambda j: dom[j])
-        units, _, _ = _root_units(spectra[last], not np.iscomplexobj(work[last].a))
+    kept_blocks = np.unique(owner[~dropped]).tolist()
+    if trim_eigen and eliminated and kept_blocks:
+        last = min(kept_blocks, key=lambda j: dom[j])
+        units, _, _ = _root_units(spectra[last], not np.iscomplexobj(cset.solvents[last].matrix))
+        partner = _conjugate_partners(modes.values) if real_system else {}
         steps = []  # (modes of the unit, its values) per unit of block `last`
         held = owner != last
         for u in units:
@@ -499,25 +501,17 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
                 taken = _take_modes(modes.values, drop_vals, held)
             except NotALatentRoot:
                 continue
-            steps.append((taken & ~held, drop_vals))
+            step = taken & ~held
             held = taken
+            # a unit whose modes split a conjugate pair leaves no real model
+            if not any(step[i] != step[j] for i, j in partner.items()):
+                steps.append((step, drop_vals))
         for step, drop_vals in sorted(steps, key=lambda st: float(np.max(dominance[st[0]]))):
-            try:
-                kept_b = _trimmed_block(work[last], drop_vals, tol.eps_sing)
-            except (ConjugateBreak, NotALatentRoot,
-                    NonDiagonalizableBlock, DegenerateEigenvector):
-                continue
             if not attempt(step, f"eigenvalues [{_fmt_values(drop_vals)}] of block {last}"):
                 break
-            work[last] = kept_b
-            if kept_b.size == 0:
-                break
 
-    final_blocks = tuple(
-        work[j] for j in sorted(work) if work[j].size > 0
-    )
-    reduced_bd = BlockDiagonalRealization(final_blocks, bd.feedthrough, bd.io_shape)
-    reduced = recompose(reduced_bd)
+    kept = _assemble_modal_block(modes, np.flatnonzero(~dropped), real_system)
+    reduced = StateSpace(kept.a, kept.b, kept.c, css.D)
     report = ReductionReport(
         method="dominant",
         original_order=css.n,

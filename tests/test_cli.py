@@ -9,9 +9,16 @@ import pytest
 
 import blockred
 from blockred.cli import main
-from blockred.data import data_path
-from blockred.sysdoc import load_system
-from blockred.sysrep import StateSpace
+from blockred.data import data_path, load_power_network
+from blockred.solvents import compute_complete_set
+from blockred.sysdoc import load_system, save_document
+from blockred.sysrep import (
+    BlockDiagonalRealization,
+    StateSpace,
+    block_diagonalize,
+    controller_canonical,
+    mfd_from_state_space,
+)
 
 SIMPLE_SS = """\
 type: state_space
@@ -165,6 +172,27 @@ def test_reduce_fixture_writes_document_and_report(tmp_path, capsys):
     assert "reduced_order: 6" in report
     assert "no dominant pole" in report
     assert "iterations: 2" in report
+
+
+def test_reduce_block_diagonal_document(tmp_path, capsys):
+    # a block diagonal document reduces as the state-space system it realizes
+    ss = load_power_network(fixed=True)
+    frac = mfd_from_state_space(ss)
+    blocks = block_diagonalize(controller_canonical(frac), compute_complete_set(frac.D))
+    path = str(tmp_path / "blocks.sys")
+    save_document(blocks, path)
+    assert isinstance(load_system(path), BlockDiagonalRealization)
+    reports, re_values = [], []
+    for source in (fixture_path(), path):
+        out_path = str(tmp_path / "reduced.sys")
+        assert main(["reduce", source, "--out", out_path]) == 0
+        lines = open(out_path + ".report").read().splitlines()
+        re_values.append(float(next(ln for ln in lines if ln.startswith("re_value:")).split()[1]))
+        reports.append([ln for ln in lines if not ln.startswith(("re_value:", "h2_error:"))])
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert "reduced_order: 6" in reports[0]
+    assert re_values[1] == pytest.approx(re_values[0], rel=1e-8)
 
 
 def test_reduce_threshold_zero_echoes_input(tmp_path, capsys):

@@ -39,10 +39,17 @@ from blockred.sysrep import (
     controller_canonical,
     mfd_from_state_space,
 )
-from blockred import dompoles, metrics, reduce
+from blockred import dompoles, metrics, reduce, sysrep
 from blockred.metrics import h2_error, h2_norm
 
-from conftest import hankel_oracle, lyapunov_oracle, planted_block_system, probe_points
+from conftest import (
+    direct_sum,
+    hankel_oracle,
+    lyapunov_oracle,
+    planted_block_system,
+    probe_points,
+    transfer_oracle,
+)
 from test_dompoles import dense_pole_oracle
 
 
@@ -330,12 +337,74 @@ def test_reduce_dominant_unstable(rng):
 
 
 def test_reduce_dominant_report_re_matches_recomputation(rng):
-    ss, weak, _ = planted_block_system(rng)
-    red, rep = reduce_dominant(ss)
-    # the reported relative error is reproducible from the discarded part
-    diff = StateSpace(ss.A, ss.B, ss.C, np.zeros_like(ss.D))
-    neglect = h2_error(diff, StateSpace(red.A, red.B, red.C, np.zeros_like(red.D)))
-    assert rep.h2_error == pytest.approx(neglect, rel=1e-8)
+    # the reported RE and H2 error are those of the returned model, eigenvalue
+    # trims included: both are reproduced from the direct sum of the full
+    # system and the reduced one
+    planted, _, _ = planted_block_system(rng)
+    for ss in (planted, load_power_network(fixed=True)):
+        full = StateSpace(ss.A, ss.B, ss.C)
+        for trim_eigen in (False, True):
+            red, rep = reduce_dominant(ss, trim_eigen=trim_eigen)
+            assert rep.eliminated
+            reduced = StateSpace(red.A, red.B, red.C)
+            err = direct_sum(full, reduced)
+            want = np.sqrt(np.sum(hankel_oracle(err) ** 4) / np.sum(hankel_oracle(full) ** 4))
+            assert rep.re_value == pytest.approx(want, rel=1e-8)
+            assert rep.h2_error == pytest.approx(h2_error(full, reduced), rel=1e-8)
+
+
+def test_eigenvalue_trims_never_split_a_conjugate_pair(monkeypatch):
+    # a unit of the block's spectrum that holds one member of a conjugate
+    # pair of the modal form (as a near-real pair grouped as two real roots
+    # would) leaves no real model, so it is passed over
+    ss, _, _ = planted_block_system(np.random.default_rng(5))
+    tol = Tolerances(re_threshold=10.0)
+    _, rep = reduce_dominant(ss, tol, continue_blocks=False, trim_eigen=True)
+    assert any(label.startswith("eigenvalues") for label in rep.eliminated)
+    original = reduce._root_units
+
+    def split_pairs(roots, real_poly):
+        units, _, scale = original(roots, real_poly)
+        singles = [[cluster] for unit in units for cluster in unit]
+        return singles, [mult for ((_, mult),) in singles], scale
+
+    monkeypatch.setattr(reduce, "_root_units", split_pairs)
+    red, rep = reduce_dominant(ss, tol, continue_blocks=False, trim_eigen=True)
+    assert rep.eliminated
+    assert not any(label.startswith("eigenvalues") for label in rep.eliminated)
+    assert not np.iscomplexobj(red.A)
+
+
+def _width_systems():
+    """The width recipe: default_rng(3) draws 12 systems for each (m, r) in
+    turn, each with A = T diag(v) inv(T), v ~ U(-5, -0.2), and T, B and C
+    standard normal."""
+    rng = np.random.default_rng(3)
+    systems = {}
+    for m, r in ((2, 8), (4, 3), (4, 4), (5, 3)):
+        n = m * r
+        for k in range(12):
+            v = rng.uniform(-5.0, -0.2, n)
+            t = rng.standard_normal((n, n))
+            b = rng.standard_normal((n, m))
+            c = rng.standard_normal((m, n))
+            systems[(m, r, k)] = StateSpace(t @ np.diag(v) @ np.linalg.inv(t), b, c)
+    return systems
+
+
+def test_reduce_dominant_needs_no_block_decoupling():
+    # these complete sets pass every check of the search, but similarity with
+    # their block Vandermonde matrix leaves off-diagonal defects of 1e-5 to
+    # 1e-2; the reduction reads nothing from that similarity
+    systems = _width_systems()
+    for key in ((4, 4, 3), (4, 4, 4), (5, 3, 2)):
+        ss = systems[key]
+        red, rep = reduce_dominant(ss)
+        assert red.is_stable()
+        assert rep.reduced_order == red.n
+        for s in probe_points(np.random.default_rng(0), 10):
+            want = transfer_oracle(ss, s)
+            assert np.linalg.norm(red.transfer(s) - want) <= 1e-5 * np.linalg.norm(want)
 
 
 def _siso_system():
@@ -488,27 +557,26 @@ def test_guards_of_a_reduction_share_one_sign_iteration(count_calls):
 
 
 def test_reduce_dominant_decomposes_the_full_system_once(count_calls):
-    # ranking, block dominance, claiming and every error output come from one
-    # modal form of the full controller form; only eigenvalue trims rebuild
-    # the trimmed block from its own modes
+    # ranking, block dominance, claiming, every error output and the reduced
+    # model come from one modal form of the full controller form, eigenvalue
+    # trims included, and the system is never decoupled into solvent blocks
     calls = count_calls("modal_form", dompoles, reduce)
+    decouplings = count_calls("block_diagonalize", sysrep, reduce)
 
     def orders():
         return [args[0].shape[0] for args in calls]
 
     ss = load_power_network(fixed=True)
-    for kwargs in ({}, {"k": 2}, {"continue_blocks": False}):
+    for kwargs in ({}, {"k": 2}, {"continue_blocks": False}, {"trim_eigen": True}):
         calls.clear()
         _, rep = reduce_dominant(ss, **kwargs)
         assert rep.eliminated
         assert orders() == [8]
+    assert sum(label.startswith("eigenvalues") for label in rep.eliminated) == 1  # the trim run
     calls.clear()
     _, rep = reduce_dominant(load_power_network(fixed=False))
     assert rep.eliminated == [] and orders() == [8]
-    calls.clear()
-    _, rep = reduce_dominant(ss, trim_eigen=True)
-    trims = sum(label.startswith("eigenvalues") for label in rep.eliminated)
-    assert trims == 1 and orders()[0] == 8 and len(calls) == 1 + 2
+    assert decouplings == []
 
 
 def test_reduce_latent_validates_no_intermediate_polynomial(count_calls):
