@@ -6,9 +6,9 @@ index is ||R||_2 / |Re lambda|.  The state matrices met here are dense and
 small, so one eigendecomposition of A yields every pole with its residue at
 once: the ranking is exact, G(s) may have any number of inputs and outputs,
 and no iteration is involved that could fail to converge.  modal_form is that
-decomposition for any (a, b, c) triple; reduce_dominant reads its ranking,
-block dominance, error outputs and reduced model from one modal_form of the
-full system.
+decomposition for any (a, b, c) triple; reduce_dominant reads its stability
+check, complete solvent set, ranking, block dominance, error guard and
+reduced model from one modal_form of the full system.
 """
 
 from dataclasses import dataclass

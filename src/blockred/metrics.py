@@ -16,10 +16,13 @@ matrix (the two gramians, the blocks of an H2 difference) share its
 inverses.  Solutions for an ill-conditioned A are refined once with an
 extended-precision residual.
 
-The reduction pipelines measure every candidate through one ErrorGuard per
+reduce_latent measures every candidate through one ErrorGuard per
 reduction: the error of a candidate is realized on the full system's own
 (A, B) with an output matrix of its own, so all candidates share one sign
 iteration and no error system is larger than the full one.
+reduce_dominant drops modes of one modal form, so each of its candidates is
+a modal truncation, whose gramians are corners of two Cauchy matrices
+(_ModalGuard): no sign iteration and no eigensolve per candidate.
 """
 
 import math
@@ -374,6 +377,59 @@ class ErrorGuard:
         """UnstableSystem unless the poles of a candidate are stable by the
         margin the full system's state matrix sets."""
         _require_stable_values(poles, self._size, what)
+
+
+def _factor(P):
+    """A factor S with P = S S^H: the Cholesky factor, or _square_root's
+    when P is numerically singular."""
+    try:
+        return np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return _square_root(P)
+
+
+class _ModalGuard:
+    """Error measures of the modal truncations of one stable system.
+
+    Built from the system's modal form (values lambda, input rows b and
+    output columns c of its modes; see dompoles.ModalForm).  Dropping the
+    modes I leaves the error system (diag(lambda_I), b_I, c_I), whose
+    gramians are the I x I corners of the Cauchy matrices
+    P = -(b b^H) / (lambda_i + conj(lambda_j)) and
+    Q = -(c^H c) / (conj(lambda_i) + lambda_j), entrywise (Antoulas,
+    Approximation of Large-Scale Dynamical Systems, 2005, ch. 6).  The full
+    Hankel spectrum and H2 norm come from P and Q once.  With
+    P_II = S S^H, a candidate's Hankel power sums are the squared Frobenius
+    norm (power 4) and the trace (power 2) of S^H Q_II S, and its H2 error is
+    the root of tr(c_I P_II c_I^H): no Lyapunov solve and no eigensolve per
+    candidate.  The caller checks stability first.
+    """
+
+    def __init__(self, modes):
+        lam, b, c = modes.values, modes.inputs, modes.outputs
+        self._P = -_gram(b) / (lam[:, None] + lam.conj()[None, :])
+        self._Q = -(_ct(c) @ c) / (lam.conj()[:, None] + lam[None, :])
+        self._c = c
+        self.spectrum = _hankel(_factor(self._P), self._Q)
+        self.h2_norm = float(np.sqrt(max(_output_power(c, self._P, c), 0.0)))
+
+    def relative_error(self, dropped, hankel_power=4):
+        """RE of dropping the modes in the boolean mask `dropped`."""
+        if hankel_power not in (2, 4):
+            raise ValueError(f"hankel_power must be 2 or 4, got {hankel_power}")
+        I = np.ix_(dropped, dropped)
+        S = _factor(self._P[I])
+        M = _ct(S) @ self._Q[I] @ S
+        numer = max(_fro2(M) if hankel_power == 4 else float(np.trace(M).real), 0.0)
+        denom = self.spectrum.power_sum(hankel_power)
+        if denom == 0.0:
+            return 0.0 if numer == 0.0 else np.inf
+        return float(np.sqrt(numer / denom))
+
+    def h2_error(self, dropped):
+        """H2 norm of the error system that drops the modes in `dropped`."""
+        c = self._c[:, dropped]
+        return float(np.sqrt(max(_output_power(c, self._P[np.ix_(dropped, dropped)], c), 0.0)))
 
 
 def relative_error(full, neglected, hankel_power=4):

@@ -19,12 +19,15 @@ Two pipelines:
   realization of the modes kept.
 
 Every elimination is guarded by the relative error RE of the neglected part
-against the full system (and optionally by a relative H2 error gate).  Both
-are read from one metrics.ErrorGuard per reduction, built on the full
-controller form: each candidate's error system is realized on that form's
-own (A, B) through an output matrix (for a latent candidate the numerator
-difference over the full denominator, for discarded blocks and trimmed
-eigenvalues C times the spectral projector of the dropped modes).
+against the full system (and optionally by a relative H2 error gate).
+reduce_latent reads both from one metrics.ErrorGuard per reduction, built on
+the full controller form: each candidate's error system is realized on that
+form's own (A, B) through an output matrix, the numerator difference over
+the full denominator.  reduce_dominant reads both from the modal form of the
+full controller form, which is also its one spectral computation: discarded
+blocks and trimmed eigenvalues drop modes of it, so each candidate's error
+system is a modal truncation, measured by metrics._ModalGuard from Cauchy
+gramians.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +38,7 @@ import numpy as np
 from ._util import block_diag, is_conjugate_closed, realify_each
 from .errors import (
     AlreadyMinimal,
+    BlockredError,
     ConjugateBreak,
     DependentVectors,
     DefectiveRoot,
@@ -44,9 +48,17 @@ from .errors import (
 )
 from .dompoles import _conjugate_partners, _ranked_modes, modal_form
 from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, mul_linear, poly_mul
-from .metrics import ErrorGuard, _require_stable, as_state_space, relative_error
+from .metrics import (
+    ErrorGuard,
+    _ModalGuard,
+    _require_stable,
+    _require_stable_values,
+    as_state_space,
+    relative_error,
+)
 from .solvents import (
     _root_units,
+    _search,
     _size_combinations,
     _unit_roots,
     compute_complete_set,
@@ -268,23 +280,6 @@ def _take_modes(values, drop_values, taken=None):
     return taken
 
 
-def _mode_owners(values, spectra):
-    """Block index owning each mode: block i takes, for every value of its
-    spectrum spectra[i], the nearest mode that no block holds yet."""
-    owner = np.full(values.size, -1)
-    for i, spectrum in enumerate(spectra):
-        owner[_take_modes(values, spectrum, owner >= 0) & (owner < 0)] = i
-    return owner
-
-
-def _dropped_output(modes, dropped, real_output=True):
-    """Output matrix of the error system that drops the modes in the mask
-    `dropped`, on the state space `modes` decomposes: C times the spectral
-    projector of those modes, the sum over them of outputs[:, i] rows[i]."""
-    c = modes.outputs[:, dropped] @ modes.rows[dropped]
-    return c.real if real_output else c
-
-
 def _trimmed_block(block, drop_values, eps_sing):
     """Modal realization of one diagonal block without the eigenvalues
     drop_values.
@@ -402,21 +397,23 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
                     hankel_power=4):
     """Reduce a state-space system by discarding non-dominant solvent blocks.
 
-    Pipeline: extract the right matrix fraction and compute a complete
-    solvent set of its denominator, one block per solvent.  One modal
-    decomposition of the full controller form then drives every decision
-    and gives the reduced model.  Each block owns the modes of its
-    spectrum, and its dominance is the largest among them.  The modes are
-    ranked by dominance (the k most dominant, or all of them, less those
-    under the dominance cut-off), and a block is claimed when it owns one of
-    those modes.  The unclaimed blocks are discarded, least dominant first.  When
-    that phase eliminated something and continue_blocks is set, elimination
-    proceeds to the least dominant claimed blocks, and with trim_eigen to
-    individual eigenvalues of the least dominant remaining block (finer
-    granularity once whole blocks stop fitting).  Every step is guarded by
-    the relative error of everything neglected so far, whose error output is
-    C times the spectral projector of all the modes dropped; a step that
-    breaches the threshold is rolled back and ends elimination at that
+    Pipeline: extract the right matrix fraction and its controller form.
+    One modal decomposition of that form is the only spectral computation:
+    it gives the stability check its poles, the complete solvent set of the
+    denominator its latent roots and vectors (the form's state matrix is
+    the block companion), the guard its Cauchy gramians, and every decision
+    and the reduced model their modes.  Each block of the set owns the
+    modes its solvent was built from, and its dominance is the largest
+    among them.  The modes are ranked by dominance (the k most dominant, or
+    all of them, less those under the dominance cut-off), and a block is
+    claimed when it owns one of those modes.  The unclaimed blocks are
+    discarded, least dominant first.  When that phase eliminated something
+    and continue_blocks is set, elimination proceeds to the least dominant
+    claimed blocks, and with trim_eigen to individual eigenvalues of the
+    least dominant remaining block (finer granularity once whole blocks stop
+    fitting).  Every step is guarded by the relative error of everything
+    neglected so far, the modal truncation of all the modes dropped; a step
+    that breaches the threshold is rolled back and ends elimination at that
     granularity.  An eigenvalue trim that would drop one member of a
     conjugate pair of modes without the other is passed over.  The reported
     H2 error is the guard's for the last accepted step.
@@ -425,6 +422,8 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     state per real mode, a 2x2 rotation block per conjugate pair), so it is
     the model the guard measured.  Raises ConjugateBreak when a discarded
     block takes one member of a conjugate pair of modes and leaves the other.
+    An input that fails the stability check or the search and whose
+    controller form is not diagonalizable as well raises the former error.
 
     Returns (StateSpace, ReductionReport).
     """
@@ -435,28 +434,34 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         ss_in = as_state_space(sys)
         frac = mfd_from_state_space(ss_in, tol.eps_sing)
     css = controller_canonical(frac)
-    _require_stable(css, "reduction")
-    cset = compute_complete_set(
-        frac.D,
-        eps_sing=tol.eps_sing,
-        tau_gap=tol.tau_gap,
-        tau_null=tol.tau_null,
-        node_budget=tol.node_budget,
-    )
+    search = dict(eps_sing=tol.eps_sing, tau_gap=tol.tau_gap, tau_null=tol.tau_null,
+                  node_budget=tol.node_budget)
+    try:
+        modes = modal_form(css.A, css.B, css.C, tol.eps_sing)
+    except BlockredError:
+        # the stability check and the search come first below; an input
+        # that fails one of them as well reports that failure
+        _require_stable(css, "reduction")
+        compute_complete_set(frac.D, **search)
+        raise
+    _require_stable_values(modes.values, float(np.linalg.norm(css.A)), "reduction")
+    # css.A is the block companion of frac.D, so modes is its eigendecomposition
+    cset, groups = _search(frac.D.monic_normalized(), modes.values, modes.right, **search)
     n = css.n
 
-    modes = modal_form(css.A, css.B, css.C, tol.eps_sing)
     real_system = not any(np.iscomplexobj(x) for x in (css.A, css.B, css.C))
     dominance = modes.dominance
     spectra = [sol.eigenvalues for sol in cset.solvents]
-    owner = _mode_owners(modes.values, spectra)
+    owner = np.empty(n, dtype=int)
+    for i, group in enumerate(groups):
+        owner[group] = i
     dom = [float(np.max(dominance[owner == i], initial=0.0)) for i in range(len(spectra))]
     count = n if k is None else max(1, min(int(k), n))
     ranked = np.array(_ranked_modes(modes, count, real_system))
     claimed = set(owner[_dominance_cut(ranked, dominance, tol.dominance_cutoff)].tolist())
     by_dominance = sorted(range(len(spectra)), key=lambda j: dom[j])
     # with no block left unclaimed no guard runs
-    guard = ErrorGuard(css) if len(claimed) < len(spectra) else None
+    guard = _ModalGuard(modes) if len(claimed) < len(spectra) else None
     eliminated = []
     dropped = np.zeros(n, dtype=bool)
     re_val = 0.0
@@ -468,14 +473,14 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         # drop the modes in the mask `step` on top of those dropped so far
         nonlocal dropped, re_val, h2_abs, iterations, breached
         iterations += 1
-        c_err = _dropped_output(modes, dropped | step, real_system)
-        re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
-        if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
+        trial = dropped | step
+        re_c = guard.relative_error(trial, hankel_power)
+        if re_c > tol.re_threshold or not _h2_gate(guard, trial, tol):
             breached = True
             return False
-        dropped = dropped | step
+        dropped = trial
         re_val = re_c
-        h2_abs = guard.h2_error(c_err)
+        h2_abs = guard.h2_error(trial)
         eliminated.append(label)
         return True
 

@@ -8,11 +8,19 @@ nonsingular block Vandermonde matrix.  Solvents are assembled from latent
 pairs: R = V diag(roots) inv(V) with latent vectors as columns of V.
 
 Every solvent built from latent roots starts from one partition of those
-roots (_root_units): numerically equal roots form (root, multiplicity)
-clusters, and for a real polynomial a complex cluster travels with its
-mirror in one conjugate unit.  A unit's latent vectors are computed once,
-the mirror cluster taking the conjugate ones, so a solvent of a
-conjugate-closed group is real.
+roots (_root_partition, or _root_units without the positions): numerically
+equal roots form (root, multiplicity) clusters, and for a real polynomial a
+complex cluster travels with its mirror in one conjugate unit.  A unit's
+latent vectors are computed once, the mirror cluster taking the conjugate
+ones, so a solvent of a conjugate-closed group is real.
+
+The complete-set search runs on one eigendecomposition of the block
+companion: its eigenvector at a latent root lam is [v; lam v; ...;
+lam**(r-1) v], so the first block row gives the latent vector v of every
+simple root, and only a repeated root needs a null-space basis of A(lam)
+(_null_basis), which also tells a defective root.  reduce_dominant hands
+the search the modal form it already holds of the controller form, whose
+state matrix is that companion.
 """
 
 from dataclasses import dataclass, field
@@ -155,13 +163,12 @@ def block_vandermonde(matrices):
         if M.shape != (m, m):
             raise DimensionMismatch("solvents must share one square size")
     r = len(mats)
-    rows = []
-    powers = [np.eye(m, dtype=np.result_type(*mats, float)) for _ in mats]
-    for i in range(r):
-        rows.append(list(powers))
-        if i < r - 1:
-            powers = [P @ M for P, M in zip(powers, mats)]
-    return np.block(rows)
+    X = np.stack(mats)
+    powers = np.empty((r, r, m, m), dtype=X.dtype)  # powers[i, j] = R_j**i
+    powers[0] = np.eye(m)
+    for i in range(1, r):
+        powers[i] = powers[i - 1] @ X
+    return powers.transpose(0, 2, 1, 3).reshape(r * m, r * m)
 
 
 def validate_complete_set(
@@ -227,14 +234,18 @@ def _check_spectra(solvents, roots, scale, tau_gap, tau_match=_TAU_MATCH):
 
 
 def _first_overlap(spectra, tol):
-    """(i, j, gap) for the first two spectra that come within tol of each
-    other, or None when they are pairwise disjoint."""
-    for i in range(len(spectra)):
-        for j in range(i + 1, len(spectra)):
-            d = np.abs(spectra[i][:, None] - spectra[j][None, :]).min()
-            if d <= tol:
-                return i, j, d
-    return None
+    """(i, j, gap) for the first two spectra, in the order of the pairs
+    (i, j) with i < j, that come within tol of each other, or None when they
+    are pairwise disjoint."""
+    values = np.concatenate(spectra)
+    starts = np.cumsum([0] + [len(z) for z in spectra[:-1]])
+    dist = np.abs(values[:, None] - values[None, :])
+    gaps = np.minimum.reduceat(np.minimum.reduceat(dist, starts, axis=0), starts, axis=1)
+    hits = np.argwhere(np.triu(gaps <= tol, 1))
+    if not hits.size:
+        return None
+    i, j = hits[0]
+    return int(i), int(j), gaps[i, j]
 
 
 def denominator_from_solvents(matrices, eps_sing=DEFAULT_EPS_SING):
@@ -268,43 +279,56 @@ def _root_scale(roots):
     return max(1.0, float(np.max(np.abs(roots), initial=0.0)))
 
 
-def _root_units(roots, real_poly):
-    """Partition latent roots into conjugate units.
+def _root_partition(roots, real_poly):
+    """Partition latent roots into conjugate units, keeping their positions.
 
     Numerically equal roots (within 1e-8 of the scale) merge into one
-    (root, multiplicity) cluster.  A unit is a list of clusters: for a real
-    polynomial a complex cluster and its mirror of equal multiplicity travel
-    together, the one with negative imaginary part first; every other
-    cluster is a unit of its own.  Units come sorted by their first root.
+    cluster (value, indices): their running mean and their positions in
+    roots.  A unit is a list of clusters: for a real polynomial a complex
+    cluster and its mirror of equal multiplicity travel together, the one
+    with negative imaginary part first; every other cluster is a unit of its
+    own.  Units come sorted by their first root.
+
+    Returns (units, scale), scale being what the tolerances were relative to.
+    """
+    roots = np.asarray(roots, dtype=complex).ravel()
+    scale = _root_scale(roots)
+    tol = 1e-8 * scale
+    clusters = []
+    for i in np.lexsort((roots.imag, roots.real)):
+        z = roots[i]
+        if clusters and abs(z - clusters[-1][0]) <= tol:
+            val, idx = clusters[-1]
+            clusters[-1] = ((val * len(idx) + z) / (len(idx) + 1), idx + [int(i)])
+        else:
+            clusters.append((z, [int(i)]))
+    units = []
+    used = [False] * len(clusters)
+    for i, (z, idx) in enumerate(clusters):
+        if used[i]:
+            continue
+        used[i] = True
+        unit = [(z, idx)]
+        if real_poly and abs(z.imag) > tol:
+            for j, (w, widx) in enumerate(clusters):
+                if not used[j] and abs(np.conj(z) - w) <= tol and len(widx) == len(idx):
+                    used[j] = True
+                    unit = [(z, idx), (w, widx)] if z.imag < 0 else [(w, widx), (z, idx)]
+                    break
+        units.append(unit)
+    units.sort(key=lambda u: (u[0][0].real, u[0][0].imag))
+    return units, scale
+
+
+def _root_units(roots, real_poly):
+    """The conjugate units of _root_partition with (root, multiplicity)
+    clusters.
 
     Returns (units, sizes, scale): the root count of each unit, and the
     scale the tolerances were relative to.
     """
-    roots = sort_complex(roots)
-    scale = _root_scale(roots)
-    tol = 1e-8 * scale
-    clusters = []
-    for z in roots:
-        if clusters and abs(z - clusters[-1][0]) <= tol:
-            val, mult = clusters[-1]
-            clusters[-1] = ((val * mult + z) / (mult + 1), mult + 1)
-        else:
-            clusters.append((z, 1))
-    units = []
-    used = [False] * len(clusters)
-    for i, (z, mult) in enumerate(clusters):
-        if used[i]:
-            continue
-        used[i] = True
-        unit = [(z, mult)]
-        if real_poly and abs(z.imag) > tol:
-            for j, (w, wm) in enumerate(clusters):
-                if not used[j] and abs(np.conj(z) - w) <= tol and wm == mult:
-                    used[j] = True
-                    unit = [(z, mult), (w, wm)] if z.imag < 0 else [(w, wm), (z, mult)]
-                    break
-        units.append(unit)
-    units.sort(key=lambda u: (u[0][0].real, u[0][0].imag))
+    units, scale = _root_partition(roots, real_poly)
+    units = [[(z, len(idx)) for z, idx in unit] for unit in units]
     return units, [sum(mult for _, mult in u) for u in units], scale
 
 
@@ -375,83 +399,100 @@ def compute_complete_set(
 ):
     """Search for a complete right solvent set of a monic-normalizable P.
 
-    The latent roots are partitioned once into conjugate units, and the
-    latent vectors of each unit are computed once.  Groups of size m are
-    formed greedily from the most negative real parts outward, with
-    backtracking when vectors turn out dependent, a solvent residual exceeds
-    1e-6, spectra overlap or the Vandermonde matrix is ill conditioned.  The
-    grouping found is checked once more, its solvents' eigenvalues against
-    the latent roots, and returned with the Vandermonde matrix and condition
-    its last test computed; a failing check raises IncompleteSet.
+    One eigendecomposition of the block companion gives every latent root
+    and latent vector (see _search).  Groups of size m are formed greedily
+    from the most negative real parts outward, with backtracking when
+    vectors turn out dependent, spectra overlap, a solvent residual exceeds
+    1e-6 or the Vandermonde matrix is ill conditioned.  The grouping found
+    is checked once more, its solvents' eigenvalues against the latent
+    roots, and returned with the Vandermonde matrix and condition its last
+    test computed; a failing check raises IncompleteSet.
 
-    node_budget bounds the number of distinct groups whose solvent is built.
-    A group met again is read from a memo, and the enumeration of
-    combinations between builds is not counted, so neither costs any of the
-    budget.  Raises NoCompleteSetFound when the budget runs out or the search
-    space holds no valid grouping.
+    node_budget bounds the work of the search.  Every group tried costs one
+    unit, whether its verdict is new or read from a memo, and so does every
+    complete grouping reached.  A group costs at most one m x m condition
+    number; a complete grouping costs its r solvents, their residuals and
+    one rm x rm SVD.  Raises NoCompleteSetFound when the budget runs out or
+    the search space holds no valid grouping.
     """
     mono = P.monic_normalized()
-    m = mono.block_size
-    r = mono.degree
+    if mono.degree == 1:
+        return validate_complete_set(P, [-np.asarray(mono.coeffs[1])], eps_sing=eps_sing, tau_gap=tau_gap)
+    values, vectors = np.linalg.eig(mono.companion())
+    return _search(mono, values, vectors, eps_sing, tau_gap, tau_null, node_budget)[0]
+
+
+def _search(mono, values, vectors, eps_sing, tau_gap, tau_null, node_budget):
+    """Complete right solvent set of the monic mono from an eigendecomposition
+    (values, vectors) of its block companion; see compute_complete_set.
+
+    A simple root takes the first block row of its eigenvector, a repeated
+    one a null-space basis (_null_basis; a defective root leaves its unit
+    unusable), and a mirror cluster the conjugates of its partner's.  A
+    group passes when its unit-normalized latent vectors L have condition
+    below 1/eps_sing; only these verdicts are memoized.  A complete grouping
+    passes when no two groups share a root within tau_gap, every solvent
+    R = L diag(roots) inv(L) has residual at most _SEARCH_RESIDUAL, and the
+    block Vandermonde matrix has condition below 1/eps_sing.
+
+    Returns (CompleteSolventSet, groups), groups[i] listing the positions in
+    values of the roots of solvent i.
+    """
+    m, r = mono.block_size, mono.degree
     if r < 1:
         raise DimensionMismatch("degree must be at least 1")
-    if r == 1:
-        return validate_complete_set(P, [-np.asarray(mono.coeffs[1])], eps_sing=eps_sing, tau_gap=tau_gap)
-
-    roots = mono.latent_roots()
-    units, sizes, scale = _root_units(roots, mono.is_real)
+    units, scale = _root_partition(values, mono.is_real)
+    sizes = [sum(len(idx) for _, idx in unit) for unit in units]
     if any(sz > m for sz in sizes):
         raise NoCompleteSetFound(
             "a root cluster (with its conjugate) exceeds the block size"
         )
-    unit_roots = [np.asarray(_unit_roots(u)) for u in units]
-    bases = []
-    for u in units:
-        try:
-            bases.append(_unit_bases(mono, u, tau_null))
-        except DefectiveRoot:
-            bases.append(None)
+    heads = vectors[:m] / np.linalg.norm(vectors[:m], axis=0)
+    parts = [_unit_vectors(mono, unit, heads, tau_null) for unit in units]
 
     budget = [node_budget]
     memo = {}
 
-    def build(group):
-        # the solvent of a group of units, or None when there is none
+    def charge():
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise NoCompleteSetFound(f"node budget {node_budget} exhausted")
+
+    def independent(group):
         if group not in memo:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NoCompleteSetFound(f"node budget {node_budget} exhausted")
-            sol = None
-            if all(bases[i] is not None for i in group):
-                try:
-                    sol = _solvent_of_units(
-                        mono, [units[i] for i in group], [bases[i] for i in group], eps_sing
-                    )
-                except DependentVectors:
-                    pass
-                if sol is not None and sol.residual > _SEARCH_RESIDUAL:
-                    sol = None
-            memo[group] = sol
+            memo[group] = all(parts[i] is not None for i in group) and (
+                cond2(np.hstack([parts[i][1] for i in group])) < 1.0 / eps_sing)
         return memo[group]
 
+    def leaf(groups):
+        spectra = [np.concatenate([parts[i][0] for i in g]) for g in groups]
+        if _first_overlap(spectra, tau_gap * scale) is not None:
+            return None
+        vecs = np.stack([np.hstack([parts[i][1] for i in g]) for g in groups])
+        stack = (vecs * np.stack(spectra)[:, None, :]) @ np.linalg.inv(vecs)
+        mats = [realify(R, 1e-8) if is_conjugate_closed(z) else R
+                for R, z in zip(stack, spectra)]
+        residuals = _solvent_residuals(mono, mats)
+        if np.any(residuals > _SEARCH_RESIDUAL):
+            return None
+        V = block_vandermonde(mats)
+        c = cond2(V)
+        if not np.isfinite(c) or c >= 1.0 / eps_sing:
+            return None
+        return groups, mats, residuals, V, c
+
     def dfs(free, chosen):
-        # chosen: (group, solvent) so far; returns (chosen, V, cond V) or None
+        # chosen: the groups so far; returns what leaf returns, or None
         if not free:
-            spectra = [np.concatenate([unit_roots[i] for i in g]) for g, _ in chosen]
-            if _first_overlap(spectra, tau_gap * scale) is not None:
-                return None
-            V = block_vandermonde([sol.matrix for _, sol in chosen])
-            c = cond2(V)
-            if not np.isfinite(c) or c >= 1.0 / eps_sing:
-                return None
-            return chosen, V, c
+            charge()
+            return leaf(chosen)
         seed, rest = free[0], free[1:]
         for combo in _size_combinations(rest, sizes, m - sizes[seed]):
+            charge()
             group = (seed,) + combo
-            sol = build(group)
-            if sol is None:
+            if not independent(group):
                 continue
-            found = dfs([u for u in rest if u not in combo], chosen + [(group, sol)])
+            found = dfs([u for u in rest if u not in combo], chosen + [group])
             if found is not None:
                 return found
         return None
@@ -461,10 +502,48 @@ def compute_complete_set(
         raise NoCompleteSetFound(
             "no grouping of the latent roots yields a complete solvent set"
         )
-    chosen, V, c = found
-    solvents = tuple(Solvent(sol.matrix, "right", residual=sol.residual) for _, sol in chosen)
-    _check_spectra(solvents, roots, scale, tau_gap)
-    return CompleteSolventSet(solvents, V, c)
+    groups, mats, residuals, V, c = found
+    if len({M.dtype for M in mats}) == 1:
+        spectra = np.linalg.eigvals(np.stack(mats))
+    else:
+        spectra = [np.linalg.eigvals(M) for M in mats]
+    solvents = tuple(Solvent(M, "right", sort_complex(z), float(res))
+                     for M, z, res in zip(mats, spectra, residuals))
+    _check_spectra(solvents, values, scale, tau_gap)
+    positions = [[k for i in g for k in parts[i][2]] for g in groups]
+    return CompleteSolventSet(solvents, V, c), positions
+
+
+def _unit_vectors(P, unit, heads, tau_null):
+    """(roots, latent vectors as columns, positions of the roots) of a unit,
+    or None when its repeated root is defective; heads holds the unit
+    latent vectors of the simple roots, column by position."""
+    z, idx = unit[0]
+    if len(idx) == 1:
+        cols = heads[:, idx]
+    else:
+        try:
+            cols = _null_basis(P, z, len(idx), tau_null)
+        except DefectiveRoot:
+            return None
+    roots = np.array([w for w, widx in unit for _ in widx])
+    cols = np.hstack([cols, cols.conj()][:len(unit)])
+    return roots, cols, [k for _, widx in unit for k in widx]
+
+
+def _solvent_residuals(P, mats):
+    """solvent_residual(P, X) for every right solvent X of mats, at once."""
+    X = np.stack(mats)
+    power = np.broadcast_to(np.eye(X.shape[1]), X.shape)
+    total = 0.0
+    scale = 0.0
+    for i in range(P.degree, -1, -1):
+        term = P.coeffs[i] @ power
+        total = total + term
+        scale = scale + np.linalg.norm(term, axis=(1, 2))
+        if i > 0:
+            power = power @ X
+    return np.linalg.norm(total, axis=(1, 2)) / np.maximum(scale, 1.0)
 
 
 def _size_combinations(candidates, sizes, need):

@@ -233,6 +233,54 @@ def hankel_oracle(ss):
     return np.sort(np.sqrt(w))[::-1]
 
 
+def mp_guard_reference(A, B, C, kept, dps=40):
+    """RE (Hankel power 4) and H2 error of a modal truncation of (A, B, C),
+    from modal Cauchy gramians in dps-digit arithmetic (mpmath).
+
+    Each value of `kept` keeps the mode of A nearest to it; the other modes
+    are dropped.  With A = X diag(lambda) inv(X), b = inv(X) B and c = C X,
+    the gramians of any set I of modes are P_ij = -(b b^H)_ij /
+    (lambda_i + conj(lambda_j)) and Q_ij = -(c^H c)_ij / (conj(lambda_i) +
+    lambda_j) over I, so its Hankel power sum is tr((P Q)**2) and its H2
+    norm the root of tr(c_I P c_I^H).  Returns (RE, H2) as floats.
+    """
+    import mpmath
+
+    def mat(x):
+        return mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in np.asarray(x)])
+
+    with mpmath.workdps(dps):
+        lam, X = mpmath.eig(mat(A))
+        b = X ** -1 * mat(B)
+        c = mat(C) * X
+        n, m, p = len(lam), b.cols, c.rows
+        dropped = list(range(n))
+        for value in np.ravel(kept):
+            dropped.remove(min(dropped, key=lambda i: abs(lam[i] - complex(value))))
+
+        def gramians(modes):
+            P = mpmath.matrix(len(modes))
+            Q = mpmath.matrix(len(modes))
+            for u, i in enumerate(modes):
+                for v, j in enumerate(modes):
+                    bb = mpmath.fsum(b[i, k] * mpmath.conj(b[j, k]) for k in range(m))
+                    cc = mpmath.fsum(mpmath.conj(c[k, i]) * c[k, j] for k in range(p))
+                    P[u, v] = -bb / (lam[i] + mpmath.conj(lam[j]))
+                    Q[u, v] = -cc / (mpmath.conj(lam[i]) + lam[j])
+            return P, Q
+
+        def power4(modes):
+            P, Q = gramians(modes)
+            PQ = P * Q
+            return mpmath.re(sum((PQ * PQ)[u, u] for u in range(len(modes))))
+
+        P, _ = gramians(dropped)
+        cd = mpmath.matrix([[c[k, i] for i in dropped] for k in range(p)])
+        h2 = mpmath.re(sum((cd * P * cd.H)[k, k] for k in range(p)))
+        re = mpmath.sqrt(power4(dropped) / power4(list(range(n))))
+        return float(re), float(mpmath.sqrt(h2))
+
+
 def poly_value_oracle(P, s):
     """Direct power-sum evaluation of a matrix polynomial at a scalar."""
     m = P.block_size

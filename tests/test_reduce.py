@@ -15,6 +15,7 @@ from blockred.errors import (
     AlreadyMinimal,
     ConjugateBreak,
     DimensionMismatch,
+    NoCompleteSetFound,
     UnstableSystem,
 )
 from blockred.matpoly import MatrixPolynomial
@@ -39,13 +40,14 @@ from blockred.sysrep import (
     controller_canonical,
     mfd_from_state_space,
 )
-from blockred import dompoles, metrics, reduce, sysrep
+from blockred import dompoles, metrics, reduce, solvents, sysrep
 from blockred.metrics import h2_error, h2_norm
 
 from conftest import (
     direct_sum,
     hankel_oracle,
     lyapunov_oracle,
+    mp_guard_reference,
     planted_block_system,
     probe_points,
     transfer_oracle,
@@ -353,6 +355,20 @@ def test_reduce_dominant_report_re_matches_recomputation(rng):
             assert rep.h2_error == pytest.approx(h2_error(full, reduced), rel=1e-8)
 
 
+def test_reduce_dominant_guard_matches_a_40_digit_reference():
+    # the reported RE and H2 error against modal Cauchy gramians of the input
+    # realization in 40-digit arithmetic, for the modes the reduced model drops
+    rng = np.random.default_rng(20260822)
+    systems = [load_power_network(fixed=True)] + [planted_block_system(rng)[0] for _ in range(2)]
+    for ss in systems:
+        for trim_eigen in (False, True):
+            red, rep = reduce_dominant(ss, trim_eigen=trim_eigen)
+            assert rep.eliminated
+            want_re, want_h2 = mp_guard_reference(ss.A, ss.B, ss.C, red.poles())
+            assert rep.re_value == pytest.approx(want_re, rel=1e-9, abs=0.0)
+            assert rep.h2_error == pytest.approx(want_h2, rel=1e-9, abs=0.0)
+
+
 def test_eigenvalue_trims_never_split_a_conjugate_pair(monkeypatch):
     # a unit of the block's spectrum that holds one member of a conjugate
     # pair of the modal form (as a near-real pair grouped as two real roots
@@ -533,9 +549,11 @@ def _two_step_fraction():
 
 
 def test_guards_of_a_reduction_share_one_sign_iteration(count_calls):
-    # every guard attempt reads the one ErrorGuard of its reduction, built
-    # with a single sign iteration on the full controller form, eigenvalue
-    # trims included, and the reported H2 error is the guard's as well
+    # every latent guard attempt reads the one ErrorGuard of its reduction,
+    # built with a single sign iteration on the full controller form, and the
+    # reported H2 error is the guard's as well; the dominant guard reads the
+    # modal form's Cauchy gramians instead, eigenvalue trims included, and
+    # runs no sign iteration at all
     calls = count_calls("_sign_steps", metrics)
     ss = load_power_network(fixed=True)
     runs = {
@@ -553,7 +571,7 @@ def test_guards_of_a_reduction_share_one_sign_iteration(count_calls):
     assert reports["dominant"].iterations == 2 and trims == 2
     assert reports["latent"].iterations == 2 and len(reports["latent"].eliminated) == 2
     assert reports["latent-network"].iterations == 1
-    assert counts == {"dominant": 1, "trim": 1, "latent": 1, "latent-network": 1}
+    assert counts == {"dominant": 0, "trim": 0, "latent": 1, "latent-network": 1}
 
 
 def test_reduce_dominant_decomposes_the_full_system_once(count_calls):
@@ -577,6 +595,67 @@ def test_reduce_dominant_decomposes_the_full_system_once(count_calls):
     _, rep = reduce_dominant(load_power_network(fixed=False))
     assert rep.eliminated == [] and orders() == [8]
     assert decouplings == []
+
+
+def test_reduce_dominant_solves_one_eigenproblem(count_calls):
+    # the modal form of the full controller form is the one spectral
+    # computation of a reduction: the search reads the latent roots and
+    # vectors from it, the stability check its values and the guard its
+    # Cauchy gramians, so no other n x n eigensolve, no sign iteration and no
+    # separate latent root solve remain, eigenvalue trims included
+    eigs = count_calls("eig", np.linalg)
+    values = count_calls("eigvals", np.linalg)
+    steps = count_calls("_sign_steps", metrics)
+    roots = count_calls("latent_roots", MatrixPolynomial)
+    ss = load_power_network(fixed=True)
+    for trim_eigen in (False, True):
+        for calls in (eigs, values, steps, roots):
+            calls.clear()
+        _, rep = reduce_dominant(ss, trim_eigen=trim_eigen)
+        assert rep.eliminated
+        assert [args[0].shape for args in eigs] == [(ss.n, ss.n)]
+        assert not any(args[0].shape == (ss.n, ss.n) for args in values)
+        assert steps == [] and roots == []
+
+
+def test_repeated_and_defective_latent_roots_keep_their_outcomes():
+    # a repeated root takes a null-space basis of D there in place of
+    # eigenvectors; the outcomes are those of the search that built every
+    # latent vector that way
+    N = MatrixPolynomial([np.array([[1.0, 0.5], [0.2, 1.0]]),
+                          np.array([[0.3, -0.1], [0.4, 0.7]])])
+    # diag((s+1)(s+2), (s+1)(s+3)): -1 twice, with two latent vectors
+    repeated = MatrixPolynomial([np.eye(2), np.diag([3.0, 4.0]), np.diag([2.0, 3.0])])
+    cs = compute_complete_set(repeated)
+    assert [tuple(sol.eigenvalues.real) for sol in cs.solvents] == [(-3.0, -2.0), (-1.0, -1.0)]
+    assert_allclose(cs.matrices[0], np.diag([-2.0, -3.0]), atol=1e-12)
+    assert_allclose(cs.matrices[1], -np.eye(2), atol=1e-12)
+    assert cs.condition == pytest.approx(8.938527151143624, rel=1e-12)
+    ss = controller_canonical(RightMFD(N, repeated))
+    tol = Tolerances(re_threshold=10.0)
+    red, rep = reduce_dominant(ss, tol, k=1, continue_blocks=False)
+    assert rep.eliminated == ["block 1 [-1, -1] (no dominant pole)"]
+    assert rep.re_value == pytest.approx(2.7256068030841227, rel=1e-9)
+    assert rep.h2_error == pytest.approx(0.5667892024377317, rel=1e-9)
+    assert_allclose(red.poles(), [-3.0, -2.0], atol=1e-12)
+    red, rep = reduce_dominant(ss, tol, k=1, continue_blocks=False, trim_eigen=True)
+    assert rep.eliminated == ["block 1 [-1, -1] (no dominant pole)",
+                              "eigenvalues [-3] of block 0", "eigenvalues [-2] of block 0"]
+    assert red.n == 0 and rep.re_value == pytest.approx(1.0, rel=1e-9)
+    assert rep.h2_error == pytest.approx(0.6093028803476972, rel=1e-9)
+    for trim_eigen in (False, True):
+        _, rep = reduce_dominant(ss, trim_eigen=trim_eigen)
+        assert rep.eliminated == [] and rep.reduced_order == 4
+    # (1,1) entry (s+1)**2 with one latent vector at -1: the companion is
+    # defective too, yet the error is the search's
+    defective = MatrixPolynomial([np.eye(2), np.array([[2.0, 1.0], [0.0, 5.0]]),
+                                  np.array([[1.0, 1.0], [0.0, 6.0]])])
+    with pytest.raises(NoCompleteSetFound):
+        compute_complete_set(defective)
+    ss = controller_canonical(RightMFD(N, defective))
+    for trim_eigen in (False, True):
+        with pytest.raises(NoCompleteSetFound):
+            reduce_dominant(ss, trim_eigen=trim_eigen)
 
 
 def test_reduce_latent_validates_no_intermediate_polynomial(count_calls):
@@ -668,42 +747,58 @@ def test_reduce_latent_rejects_an_unstable_candidate(monkeypatch):
 
 
 def test_error_output_realizes_the_neglected_parts(rng):
-    # C_e, C times the spectral projector of the dropped modes of the full
-    # controller form, on that form's (A, B) against the transfer of the
-    # parts it stands for: whole discarded blocks, and modes dropped from a block
+    # the dominant guard measures the modes dropped by a mask of the full
+    # controller form's modal form as the modal truncation
+    # (diag(lambda_I), b_I, c_I): its transfer is that of the parts it stands
+    # for (whole discarded blocks, and a block plus one trimmed mode), and its
+    # RE and H2 error are those of a realization of those parts
     D = denominator_from_solvents(
         [np.diag([-1.0, -2.0]), np.array([[-3.0, 4.0], [-4.0, -3.0]]), np.diag([-9.0, -12.0])]
     )
     f = RightMFD(MatrixPolynomial([rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
                                    rng.standard_normal((3, 2))]), D)
     css = controller_canonical(f)
-    cset = compute_complete_set(D)
-    bd = block_diagonalize(css, cset)
+    bd = block_diagonalize(css, compute_complete_set(D))
     modes = modal_form(css.A, css.B, css.C, 1e-10)
-    owner = reduce._mode_owners(modes.values, [sol.eigenvalues for sol in cset.solvents])
-    for discard in ({0}, {1}, {0, 2}, {0, 1, 2}):
-        c_err = reduce._dropped_output(modes, np.isin(owner, list(discard)))
-        assert not np.iscomplexobj(c_err)
-        err = StateSpace(css.A, css.B, c_err)
+    _, groups = solvents._search(D, modes.values, modes.right, 1e-10, 1e-6, 1e-6, 10000)
+    owner = np.empty(css.n, dtype=int)
+    for i, group in enumerate(groups):
+        owner[group] = i
+        assert_allclose(np.sort_complex(modes.values[group]), bd.blocks[i].eigenvalues, atol=1e-9)
+    guard = metrics._ModalGuard(modes)
+    full4 = np.sum(hankel_oracle(css) ** 4)
+
+    def check(dropped, parts):
+        lam, b, c = modes.values[dropped], modes.inputs[dropped], modes.outputs[:, dropped]
         for s in probe_points(rng, 5):
-            want = BlockDiagonalRealization(tuple(bd.blocks[i] for i in discard)).transfer(s)
-            assert_allclose(err.transfer(s), want, rtol=1e-9, atol=1e-12)
+            assert_allclose((c / (s - lam)) @ b, transfer_oracle(parts, s), rtol=1e-9, atol=1e-12)
+        want_re = np.sqrt(np.sum(hankel_oracle(parts) ** 4) / full4)
+        P = lyapunov_oracle(parts.A, parts.B @ parts.B.T)
+        assert guard.relative_error(dropped, 4) == pytest.approx(want_re, rel=1e-9, abs=0.0)
+        assert guard.h2_error(dropped) == pytest.approx(
+            np.sqrt(np.trace(parts.C @ P @ parts.C.T)), rel=1e-9, abs=0.0)
+
+    for discard in ({0}, {1}, {0, 2}, {0, 1, 2}):
+        blocks = [bd.blocks[i] for i in sorted(discard)]
+        parts = StateSpace(scipy.linalg.block_diag(*[blk.a for blk in blocks]),
+                           np.vstack([blk.b for blk in blocks]),
+                           np.hstack([blk.c for blk in blocks]))
+        check(np.isin(owner, list(discard)), parts)
     # block k holds -9 and -12; -12 goes, and so does a whole block j
     k = next(i for i, blk in enumerate(bd.blocks) if abs(blk.eigenvalues[0] + 12.0) < 1e-6)
     j = 0 if k else 1
-    block = bd.blocks[k]
-    trimmed = reduce._take_modes(modes.values, [-12.0], owner != k)
-    c_err = reduce._dropped_output(modes, (owner == j) | (trimmed & (owner == k)))
-    err = StateSpace(css.A, css.B, c_err)
+    mode = int(np.argmin(np.abs(modes.values + 12.0)))
+    assert owner[mode] == k
     # the residue of -12 in block k, from its own left and right eigenvectors
+    block = bd.blocks[k]
     theta, left, right = scipy.linalg.eig(block.a, left=True, right=True)
     i = int(np.argmin(np.abs(theta + 12.0)))
-    residue = np.outer(block.c @ right[:, i], left[:, i].conj() @ block.b) / np.vdot(
-        left[:, i], right[:, i])
-    for s in probe_points(rng, 5):
-        want = bd.blocks[j].c @ np.linalg.solve(s * np.eye(2) - bd.blocks[j].a, bd.blocks[j].b)
-        assert_allclose(err.transfer(s), want + residue.real / (s + 12.0),
-                        rtol=1e-9, atol=1e-12)
+    brow = (left[:, i].conj() @ block.b / np.vdot(left[:, i], right[:, i])).real
+    ccol = (block.c @ right[:, i]).real
+    parts = StateSpace(scipy.linalg.block_diag(bd.blocks[j].a, [[-12.0]]),
+                       np.vstack([bd.blocks[j].b, brow]),
+                       np.hstack([bd.blocks[j].c, ccol[:, None]]))
+    check((owner == j) | (np.arange(css.n) == mode), parts)
 
 
 def _unvalued(label):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -307,22 +308,45 @@ def test_search_set_passes_the_public_check(rng):
 
 def test_search_computes_each_latent_basis_once(count_calls):
     # diag((s+1)(s+2), (s+3)(s+4)): the roots -4 and -3 share the latent
-    # vector e2, so the first grouping fails and the search backtracks; the
-    # four units still need only four bases and one latent root solve
+    # vector e2, so the first grouping fails and the search backtracks; every
+    # latent root and vector of these distinct roots comes from one
+    # eigendecomposition of the companion, with no null-space basis and no
+    # separate latent root solve
     bases = count_calls("_null_basis", solvents)
     roots = count_calls("latent_roots", matpoly.MatrixPolynomial)
+    eigs = count_calls("eig", np.linalg)
     P = MatrixPolynomial([np.eye(2), np.diag([3.0, 7.0]), np.diag([2.0, 12.0])])
     cs = compute_complete_set(P)
     spectra = sorted(tuple(s.eigenvalues.real) for s in cs.solvents)
     assert_allclose(spectra, [(-4.0, -2.0), (-3.0, -1.0)], atol=1e-12)
-    assert len(bases) == 4 and len(roots) == 1
+    assert len(bases) == 0 and len(roots) == 0 and len(eigs) == 1
 
-    # a conjugate pair is one unit: its mirror takes the conjugate basis
-    bases.clear()
+    # a conjugate pair is one unit: its mirror takes the conjugate vectors
+    eigs.clear()
     mats = [np.array([[-1.0, 2.0], [-2.0, -1.0]]), np.diag([-3.0, -4.0]),
             np.array([[-5.0, 1.0], [-1.0, -5.0]])]
     cs = compute_complete_set(denominator_from_solvents(mats))
-    assert len(cs) == 3 and len(bases) == 4
+    assert len(cs) == 3 and len(bases) == 0 and len(eigs) == 1
+    assert not any(np.iscomplexobj(M) for M in cs.matrices)
+
+
+def test_search_work_is_bounded_by_the_node_budget():
+    # 24 distinct real latent roots at m = 2, r = 12 leave 23!! = 3.2e11
+    # complete groupings, and none the search reaches passes its Vandermonde
+    # test; every group tried and every grouping reached costs budget, so the
+    # default budget ends the search within seconds
+    rng = np.random.default_rng(7)
+    roots = -np.linspace(0.5, 3.0, 24)
+    rng.shuffle(roots)
+    D = MatrixPolynomial([np.eye(2)])
+    for k in range(12):
+        T = rng.standard_normal((2, 2))
+        R = T @ np.diag(roots[2 * k:2 * k + 2]) @ np.linalg.inv(T)
+        D = matpoly.poly_mul(D, MatrixPolynomial([np.eye(2), -R]))
+    start = time.perf_counter()
+    with pytest.raises(NoCompleteSetFound, match="node budget 10000 exhausted"):
+        compute_complete_set(D)
+    assert time.perf_counter() - start < 15.0
 
 
 def _filtered_combinations(candidates, sizes, need):
