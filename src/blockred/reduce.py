@@ -2,12 +2,12 @@
 
 Two pipelines:
 
-* reduce_latent: work on a right matrix fraction.  Pick the group of latent
-  roots farthest into the left half plane, build the solvent they span,
-  divide it out of the denominator (and when needed the numerator, whose
-  division remainder is neglected), and repeat while the relative error
-  stays under threshold.  The step that breaches the threshold is rolled
-  back.
+* reduce_latent: work on a right matrix fraction.  Pick the first group of
+  latent roots that spans a solvent, groups of fewer conjugate units first
+  (see _elimination_candidates), build that solvent, divide it out of the
+  denominator (and when needed the numerator, whose division remainder is
+  neglected), and repeat while the relative error stays under threshold.
+  The step that breaches the threshold is rolled back.
 
 * reduce_dominant: work on a state-space system.  Extract the matrix
   fraction and compute a complete solvent set; each solvent is a block of
@@ -57,10 +57,9 @@ from .metrics import (
     relative_error,
 )
 from .solvents import (
-    _root_units,
+    _root_partition,
     _search,
     _size_combinations,
-    _unit_roots,
     compute_complete_set,
     solvent_from_roots,
 )
@@ -136,21 +135,25 @@ def _h2_gate(guard, c_err, tol):
 
 # -- method 1: latent root elimination on the matrix fraction -----------------
 
-def _elimination_candidates(D, tol, limit=200):
-    """Conjugate-closed root selections of size m, leftmost roots first,
-    each with the latent roots it leaves behind."""
-    units, sizes, _ = _root_units(D.latent_roots(), D.is_real)
+def _elimination_candidates(D, limit=200):
+    """Conjugate-closed root selections of size m, each with the latent roots
+    it leaves behind: unions of units of _root_partition, fewest units first,
+    then lexicographic (see _size_combinations).  The leftmost roots need not
+    go first: a selection may leave behind a root left of one it takes."""
+    units, _ = _root_partition(D.latent_roots(), D.is_real)
+    sizes = [sum(len(idx) for _, idx in unit) for unit in units]
     for count, combo in enumerate(_size_combinations(range(len(units)), sizes, D.block_size), 1):
         sel, rest = [], []
         for c, unit in enumerate(units):
-            (sel if c in combo else rest).extend(_unit_roots(unit))
+            (sel if c in combo else rest).extend(z for z, idx in unit for _ in idx)
         yield sel, rest
         if count >= limit:
             return
 
 
 def reduce_latent(fraction, tol=None, hankel_power=4):
-    """Eliminate left-most latent root groups from a right matrix fraction.
+    """Eliminate latent root groups from a right matrix fraction, trying
+    groups of fewer conjugate units first (see _elimination_candidates).
 
     Returns (reduced RightMFD, ReductionReport).  The loop stops when the
     next elimination would push the relative error past the threshold; that
@@ -177,7 +180,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
     while current.D.degree > 1:
         iterations += 1
         solvent = None
-        for sel, rest in _elimination_candidates(current.D, tol):
+        for sel, rest in _elimination_candidates(current.D):
             try:
                 solvent = solvent_from_roots(current.D, sel, tol.tau_null, tol.eps_sing)
                 break
@@ -264,10 +267,10 @@ def match_solvents_to_poles(solvent_set, poles, match_tol=0.1):
     return MatchResult(tuple(matched), unmatched, distances)
 
 
-def _take_modes(values, drop_values, taken=None):
+def _take_modes(values, drop_values):
     """Mask of the modes dropped with drop_values: for each value the nearest
-    mode not yet in the mask `taken` (which is left unchanged)."""
-    taken = np.zeros(values.size, dtype=bool) if taken is None else taken.copy()
+    mode not yet taken."""
+    taken = np.zeros(values.size, dtype=bool)
     scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
     for v in drop_values:
         dist = np.where(taken, np.inf, np.abs(values - v))
@@ -289,8 +292,6 @@ def _trimmed_block(block, drop_values, eps_sing):
     """
     drop_values = list(np.asarray(drop_values, dtype=complex).ravel())
     real_block = not np.iscomplexobj(block.a)
-    if not drop_values:
-        return block
     if real_block and not is_conjugate_closed(drop_values):
         raise ConjugateBreak("dropped eigenvalues must form conjugate pairs")
     modes = modal_form(block.a, block.b, block.c, eps_sing)
@@ -496,18 +497,15 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     kept_blocks = np.unique(owner[~dropped]).tolist()
     if trim_eigen and eliminated and kept_blocks:
         last = min(kept_blocks, key=lambda j: dom[j])
-        units, _, _ = _root_units(spectra[last], not np.iscomplexobj(cset.solvents[last].matrix))
+        own = np.flatnonzero(owner == last)
+        units, _ = _root_partition(modes.values[own],
+                                   not np.iscomplexobj(cset.solvents[last].matrix))
         partner = _conjugate_partners(modes.values) if real_system else {}
         steps = []  # (modes of the unit, its values) per unit of block `last`
-        held = owner != last
-        for u in units:
-            drop_vals = _unit_roots(u)
-            try:
-                taken = _take_modes(modes.values, drop_vals, held)
-            except NotALatentRoot:
-                continue
-            step = taken & ~held
-            held = taken
+        for unit in units:
+            step = np.zeros(n, dtype=bool)
+            step[own[[k for _, idx in unit for k in idx]]] = True
+            drop_vals = [z for z, idx in unit for _ in idx]
             # a unit whose modes split a conjugate pair leaves no real model
             if not any(step[i] != step[j] for i, j in partner.items()):
                 steps.append((step, drop_vals))

@@ -7,12 +7,12 @@ pairwise disjoint spectra whose union is the latent root multiset, and a
 nonsingular block Vandermonde matrix.  Solvents are assembled from latent
 pairs: R = V diag(roots) inv(V) with latent vectors as columns of V.
 
-Every solvent built from latent roots starts from one partition of those
-roots (_root_partition, or _root_units without the positions): numerically
-equal roots form (root, multiplicity) clusters, and for a real polynomial a
-complex cluster travels with its mirror in one conjugate unit.  A unit's
-latent vectors are computed once, the mirror cluster taking the conjugate
-ones, so a solvent of a conjugate-closed group is real.
+Every solvent built from latent roots, and every elimination candidate and
+eigenvalue trim, starts from one partition of those roots, _root_partition:
+numerically equal roots form clusters with their positions, and for a real
+polynomial a complex cluster travels with its mirror in one conjugate unit.
+A unit's latent vectors are computed once, the mirror cluster taking the
+conjugate ones, so a solvent of a conjugate-closed group is real.
 
 The complete-set search runs on one eigendecomposition of the block
 companion: its eigenvector at a latent root lam is [v; lam v; ...;
@@ -105,18 +105,7 @@ def solvent_residual(P, X, side="right"):
     m = P.block_size
     if X.shape != (m, m):
         raise DimensionMismatch(f"X must be {m}x{m}, got {X.shape}")
-    r = P.degree
-    dtype = np.result_type(P.coeffs[0], X)
-    power = np.eye(m, dtype=dtype)
-    total = np.zeros((m, m), dtype=dtype)
-    scale = 0.0
-    for i in range(r, -1, -1):
-        term = P.coeffs[i] @ power if side == "right" else power @ P.coeffs[i]
-        total = total + term
-        scale += float(np.linalg.norm(term))
-        if i > 0:
-            power = power @ X if side == "right" else X @ power
-    return float(np.linalg.norm(total)) / max(scale, 1.0)
+    return float(_solvent_residuals(P, X[None], side)[0])
 
 
 def is_solvent(P, X, side="right", tol=1e-8):
@@ -320,23 +309,6 @@ def _root_partition(roots, real_poly):
     return units, scale
 
 
-def _root_units(roots, real_poly):
-    """The conjugate units of _root_partition with (root, multiplicity)
-    clusters.
-
-    Returns (units, sizes, scale): the root count of each unit, and the
-    scale the tolerances were relative to.
-    """
-    units, scale = _root_partition(roots, real_poly)
-    units = [[(z, len(idx)) for z, idx in unit] for unit in units]
-    return units, [sum(mult for _, mult in u) for u in units], scale
-
-
-def _unit_roots(unit):
-    """The roots of a unit, each repeated by its multiplicity."""
-    return [z for z, mult in unit for _ in range(mult)]
-
-
 def _null_basis(P, lam, mult, tau_null):
     """mult independent right latent vectors at a (possibly repeated) root."""
     A = P.evaluate(complex(lam))
@@ -352,42 +324,27 @@ def _null_basis(P, lam, mult, tau_null):
     return Vh[-mult:].conj().T  # orthonormal columns
 
 
-def _unit_bases(P, unit, tau_null):
-    """Latent vectors of each cluster of a unit; a mirror cluster takes the
-    conjugates of its partner's."""
-    basis = _null_basis(P, *unit[0], tau_null)
-    return [basis, basis.conj()][:len(unit)]
-
-
-def _solvent_of_units(P, units, bases, eps_sing):
-    """Solvent of monic P whose spectrum is the roots of the given units,
-    bases[k] holding the latent vectors of units[k] (see _unit_bases).
-
-    The columns go in (real, imag) order of their roots.
-    """
-    clusters = sorted(
-        ((z, mult, b) for unit, unit_bases in zip(units, bases)
-         for (z, mult), b in zip(unit, unit_bases)),
-        key=lambda c: (c[0].real, c[0].imag),
-    )
-    pairs = [(z, b[:, k]) for z, mult, b in clusters for k in range(mult)]
-    return solvent_from_latent(pairs, "right", polynomial=P, eps_sing=eps_sing)
-
-
 def solvent_from_roots(P, roots, tau_null=DEFAULT_TAU_NULL, eps_sing=DEFAULT_EPS_SING):
     """Right solvent whose spectrum is the given subset of latent roots.
 
-    Conjugate root pairs of a real polynomial get conjugate vector pairs, so
-    the returned matrix is real whenever the subset is conjugate closed.
+    Each cluster of _root_partition takes a null-space basis of P at its
+    root, a mirror cluster the conjugates of its partner's, so the matrix is
+    real whenever the subset is conjugate closed.  Columns go in (real, imag)
+    order of their roots.
     """
     mono = P.monic_normalized()
     m = mono.block_size
     roots = np.asarray(roots, dtype=complex).ravel()
     if roots.size != m:
         raise DimensionMismatch(f"need exactly {m} roots, got {roots.size}")
-    units, _, _ = _root_units(roots, mono.is_real)
-    bases = [_unit_bases(mono, u, tau_null) for u in units]
-    return _solvent_of_units(mono, units, bases, eps_sing)
+    clusters = []  # (root, positions, latent vectors as columns)
+    for unit in _root_partition(roots, mono.is_real)[0]:
+        z, idx = unit[0]
+        basis = _null_basis(mono, z, len(idx), tau_null)
+        clusters += [(w, widx, b) for (w, widx), b in zip(unit, [basis, basis.conj()])]
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+    pairs = [(z, b[:, k]) for z, idx, b in clusters for k in range(len(idx))]
+    return solvent_from_latent(pairs, "right", polynomial=mono, eps_sing=eps_sing)
 
 
 def compute_complete_set(
@@ -531,18 +488,18 @@ def _unit_vectors(P, unit, heads, tau_null):
     return roots, cols, [k for _, widx in unit for k in widx]
 
 
-def _solvent_residuals(P, mats):
-    """solvent_residual(P, X) for every right solvent X of mats, at once."""
-    X = np.stack(mats)
+def _solvent_residuals(P, mats, side="right"):
+    """solvent_residual(P, X, side) for every solvent X of mats, at once."""
+    X = np.asarray(mats)
     power = np.broadcast_to(np.eye(X.shape[1]), X.shape)
     total = 0.0
     scale = 0.0
     for i in range(P.degree, -1, -1):
-        term = P.coeffs[i] @ power
+        term = P.coeffs[i] @ power if side == "right" else power @ P.coeffs[i]
         total = total + term
         scale = scale + np.linalg.norm(term, axis=(1, 2))
         if i > 0:
-            power = power @ X
+            power = power @ X if side == "right" else X @ power
     return np.linalg.norm(total, axis=(1, 2)) / np.maximum(scale, 1.0)
 
 

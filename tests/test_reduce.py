@@ -377,18 +377,45 @@ def test_eigenvalue_trims_never_split_a_conjugate_pair(monkeypatch):
     tol = Tolerances(re_threshold=10.0)
     _, rep = reduce_dominant(ss, tol, continue_blocks=False, trim_eigen=True)
     assert any(label.startswith("eigenvalues") for label in rep.eliminated)
-    original = reduce._root_units
+    original = reduce._root_partition
 
     def split_pairs(roots, real_poly):
-        units, _, scale = original(roots, real_poly)
-        singles = [[cluster] for unit in units for cluster in unit]
-        return singles, [mult for ((_, mult),) in singles], scale
+        units, scale = original(roots, real_poly)
+        return [[cluster] for unit in units for cluster in unit], scale
 
-    monkeypatch.setattr(reduce, "_root_units", split_pairs)
+    monkeypatch.setattr(reduce, "_root_partition", split_pairs)
     red, rep = reduce_dominant(ss, tol, continue_blocks=False, trim_eigen=True)
     assert rep.eliminated
     assert not any(label.startswith("eigenvalues") for label in rep.eliminated)
     assert not np.iscomplexobj(red.A)
+
+
+def test_eigenvalue_trims_take_the_modes_their_block_owns(count_calls):
+    # a trim step drops the modes of one unit of the block's own modes, by
+    # position: no eigenvalue is matched back to a mode by distance
+    taken = count_calls("_take_modes", reduce)
+    _, rep = reduce_dominant(load_power_network(fixed=True), trim_eigen=True)
+    assert rep.eliminated == [
+        "block 1 [-9.09629-11.0387j, -9.09629+11.0387j] (no dominant pole)",
+        "eigenvalues [-26.8911] of block 0",
+    ]
+    assert (rep.reduced_order, rep.iterations) == (5, 4)
+    assert rep.re_value == pytest.approx(0.002031835827347881, rel=1e-9)
+    assert rep.h2_error == pytest.approx(0.2661221856034597, rel=1e-9)
+    tol = Tolerances(re_threshold=10.0)
+    planted = {
+        5: ("eigenvalues [-1.72843-0.49055j, -1.72843+0.49055j] of block 1",
+            0.6664551472612125, 2.1318452835037625),
+        6: ("eigenvalues [-1.9971-0.417792j, -1.9971+0.417792j] of block 0",
+            0.40076536487955444, 2.311188695942437),
+    }
+    for seed, (label, re_value, h2) in planted.items():
+        ss, _, _ = planted_block_system(np.random.default_rng(seed))
+        _, rep = reduce_dominant(ss, tol, continue_blocks=False, trim_eigen=True)
+        assert rep.eliminated[-1] == label
+        assert rep.re_value == pytest.approx(re_value, rel=1e-9)
+        assert rep.h2_error == pytest.approx(h2, rel=1e-9)
+    assert taken == []
 
 
 def _width_systems():

@@ -77,6 +77,26 @@ def test_solvent_residual_scale_free(rng):
     assert_allclose(solvent_residual(big, X), r1, rtol=1e-10)
 
 
+def test_solvent_residual_is_the_relative_block_value(rng):
+    # both sides run through one stacked kernel; the oracle forms each term
+    # A_i X**(r-i) (right) or X**(r-i) A_i (left) on its own.  The residual is
+    # already relative to the terms' size, so the two agree to 1e-14 absolute
+    # (Horner's value and the power sum differ by rounding in the terms)
+    for trial in range(40):
+        m, r = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        P = random_monic_poly(rng, m, r)
+        X = rng.standard_normal((m, m))
+        if trial % 2:
+            X = X + 1j * rng.standard_normal((m, m))
+        for side in ("right", "left"):
+            terms = [c @ np.linalg.matrix_power(X, r - i) if side == "right"
+                     else np.linalg.matrix_power(X, r - i) @ c
+                     for i, c in enumerate(P.coeffs)]
+            scale = max(sum(np.linalg.norm(t) for t in terms), 1.0)
+            want = np.linalg.norm(P.block_value(X, side)) / scale
+            assert solvent_residual(P, X, side) == pytest.approx(want, rel=0.0, abs=1e-14)
+
+
 def test_solvent_from_latent_recovers_known(rng):
     R1, R2 = separated_matrices(rng, 2, 2)
     P = denominator_from_solvents([R1, R2])
