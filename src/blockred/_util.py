@@ -82,24 +82,6 @@ def cond2(a):
     return float(s[0] / s[-1])
 
 
-def is_conjugate_closed(values, tol=1e-8):
-    """True when the multiset of values is closed under complex conjugation."""
-    vals = list(np.asarray(values, dtype=complex).ravel())
-    scale = max(1.0, max((abs(v) for v in vals), default=1.0))
-    unmatched = [v for v in vals if abs(v.imag) > tol * scale]
-    while unmatched:
-        v = unmatched.pop()
-        best = None
-        for i, w in enumerate(unmatched):
-            d = abs(np.conj(v) - w)
-            if best is None or d < best[1]:
-                best = (i, d)
-        if best is None or best[1] > tol * scale:
-            return False
-        unmatched.pop(best[0])
-    return True
-
-
 def block_diag(*mats):
     """Direct sum of 2-D arrays, complex when any of them is."""
     mats = [np.asarray(x) for x in mats]

@@ -20,9 +20,8 @@ import numpy as np
 
 from .dompoles import dominant_poles
 from .errors import BlockredError, DimensionMismatch, ProbeAtPole
-from .matpoly import DEFAULT_EPS_SING
 from .metrics import as_state_space, h2_norm, hankel_singular_values
-from .reduce import Tolerances, reduce_dominant, reduce_latent
+from .reduce import Tolerances, _fmt_value, reduce_dominant, reduce_latent
 from .solvents import compute_complete_set
 from .sysdoc import build_system, load_document, save_document
 from .sysrep import RightMFD, mfd_from_state_space
@@ -51,14 +50,6 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _fmt_complex(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        return f"{z.real:.6g}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.6g}{sign}{abs(z.imag):.6g}j"
-
-
 def _load(path):
     doc = load_document(path)
     sys_obj = build_system(doc)
@@ -82,7 +73,7 @@ def cmd_validate(args):
     ss = as_state_space(sys_obj)
     print("poles:")
     for z in ss.poles():
-        print(f"  {_fmt_complex(z)}")
+        print(f"  {_fmt_value(z)}")
     return 0
 
 
@@ -119,7 +110,7 @@ def cmd_analyze(args):
             rows = " ; ".join(
                 " ".join(f"{v:.6g}" for v in row) for row in np.atleast_2d(sol.matrix)
             )
-            eigs = ", ".join(_fmt_complex(z) for z in sol.eigenvalues)
+            eigs = ", ".join(_fmt_value(z) for z in sol.eigenvalues)
             print(f"  R{i} = [ {rows} ]")
             print(f"     eigenvalues: {eigs}")
 
@@ -140,7 +131,7 @@ def cmd_analyze(args):
         count = args.k if args.k is not None else min(ss.n, 2 * ss.m)
         found = dominant_poles(ss, count, eps_sing=tol.eps_sing)
         for pole in found:
-            print(f"  {_fmt_complex(pole.value)}   dominance {pole.dominance:.6g}")
+            print(f"  {_fmt_value(pole.value)}   dominance {pole.dominance:.6g}")
 
     _print_section("dominant poles", dominant_section)
     return 0
@@ -166,7 +157,10 @@ def _tolerances(args):
     # positive value implements that without breaking the positivity rule
     if kw.get("re_threshold") == 0.0:
         kw["re_threshold"] = 1e-300
-    return Tolerances(**kw)
+    try:
+        return Tolerances(**kw)
+    except ValueError as exc:
+        raise DimensionMismatch(str(exc)) from exc
 
 
 def _report_text(report):
@@ -258,7 +252,7 @@ def cmd_bode(args):
                 for k in range(1, len(systems) + 1):
                     header += [f"mag_db_{i}{j}_{k}", f"phase_deg_{i}{j}_{k}"]
 
-    eps_sing = args.eps_sing if args.eps_sing is not None else DEFAULT_EPS_SING
+    eps_sing = _tolerances(args).eps_sing
     rows = []
     responses = []  # per grid point, per system: matrix or None
     for w in omega:

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._util import block_diag, is_conjugate_closed, realify_each
+from ._util import block_diag, realify_each
 from .errors import (
     AlreadyMinimal,
     BlockredError,
@@ -44,7 +44,6 @@ from .errors import (
     DefectiveRoot,
     DimensionMismatch,
     NoEliminableSolvent,
-    NotALatentRoot,
 )
 from .dompoles import _conjugate_partners, _ranked_modes, modal_form
 from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, mul_linear, poly_mul
@@ -267,46 +266,18 @@ def match_solvents_to_poles(solvent_set, poles, match_tol=0.1):
     return MatchResult(tuple(matched), unmatched, distances)
 
 
-def _take_modes(values, drop_values):
-    """Mask of the modes dropped with drop_values: for each value the nearest
-    mode not yet taken."""
-    taken = np.zeros(values.size, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    for v in drop_values:
-        dist = np.where(taken, np.inf, np.abs(values - v))
-        best = int(np.argmin(dist)) if dist.size else None
-        if best is None or dist[best] > 1e-6 * scale:
-            raise NotALatentRoot(
-                f"{_fmt_value(v)} is not an eigenvalue of this block"
-            )
-        taken[best] = True
-    return taken
-
-
-def _trimmed_block(block, drop_values, eps_sing):
-    """Modal realization of one diagonal block without the eigenvalues
-    drop_values.
-
-    For a real block drop_values must form a conjugate-closed set so the
-    result stays real.
-    """
-    drop_values = list(np.asarray(drop_values, dtype=complex).ravel())
-    real_block = not np.iscomplexobj(block.a)
-    if real_block and not is_conjugate_closed(drop_values):
-        raise ConjugateBreak("dropped eigenvalues must form conjugate pairs")
-    modes = modal_form(block.a, block.b, block.c, eps_sing)
-    taken = _take_modes(modes.values, drop_values)
-    return _assemble_modal_block(modes, np.flatnonzero(~taken), real_block)
-
-
 def trim_subsystem_eigen(bd, block, drop, tol=None):
     """Delete selected eigenvalues from one block of a decoupled realization.
 
     block indexes into bd.blocks and drop lists positions into that block's
-    sorted eigenvalue array.  For a real block the dropped values must form a
-    conjugate-closed set.  The survivors are rebuilt as a modal realization
-    (2x2 rotation blocks for conjugate pairs); a fully emptied block is
-    removed from the result.
+    modes sorted by (real, imag), the order of its eigenvalues.  One modal
+    decomposition of the block gives the modes; the survivors are rebuilt as
+    a modal realization (2x2 rotation blocks for conjugate pairs), and a
+    fully emptied block is removed from the result, and a block with a
+    complex a, b or c stays complex.  For a real block a drop that takes one
+    member of a conjugate pair of modes without the other raises
+    ConjugateBreak; a block that is not diagonalizable raises
+    NonDiagonalizableBlock before that, whatever the drop.
     """
     tol = tol or Tolerances()
     if not isinstance(bd, BlockDiagonalRealization):
@@ -315,14 +286,17 @@ def trim_subsystem_eigen(bd, block, drop, tol=None):
     bi = int(block)
     if not 0 <= bi < len(blocks):
         raise DimensionMismatch(f"block index {bi} out of range")
-    drop_idx = sorted({int(i) for i in np.asarray(drop, dtype=int).ravel()}) if len(
-        np.atleast_1d(drop)) else []
-    if not drop_idx:
+    drop = np.unique(np.asarray(drop, dtype=int))
+    if not drop.size:
         return bd
-    values = blocks[bi].eigenvalues
-    if drop_idx[0] < 0 or drop_idx[-1] >= values.size:
+    blk = blocks[bi]
+    if drop[0] < 0 or drop[-1] >= blk.size:
         raise DimensionMismatch("eigenvalue index out of range")
-    kept_block = _trimmed_block(blocks[bi], [values[i] for i in drop_idx], tol.eps_sing)
+    modes = modal_form(blk.a, blk.b, blk.c, tol.eps_sing)
+    keep = np.ones(blk.size, dtype=bool)
+    keep[np.lexsort((modes.values.imag, modes.values.real))[drop]] = False
+    real_block = not any(np.iscomplexobj(x) for x in (blk.a, blk.b, blk.c))
+    kept_block = _assemble_modal_block(modes, np.flatnonzero(keep), real_block)
     if kept_block.size == 0:
         del blocks[bi]
     else:

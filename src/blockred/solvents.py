@@ -31,7 +31,6 @@ import numpy as np
 from ._util import (
     as_matrix,
     cond2,
-    is_conjugate_closed,
     pair_distance,
     realify,
     sort_complex,
@@ -118,8 +117,10 @@ def solvent_from_latent(pairs, side="right", polynomial=None, eps_sing=DEFAULT_E
 
     For side "right" the latent vectors become columns of V and
     R = V diag(roots) inv(V); for side "left" they become rows of W and
-    L = inv(W) diag(roots) W.  Raises DependentVectors when the vector matrix
-    is numerically singular.
+    L = inv(W) diag(roots) W.  The matrix is returned real when its imaginary
+    part is negligible against its real part (_util.realify), as it is for
+    a conjugate-closed set of pairs.  Raises DependentVectors when the
+    vector matrix is numerically singular.
     """
     roots = [complex(root) for root, _ in pairs]
     vecs = [np.asarray(v, dtype=complex) for _, v in pairs]
@@ -136,8 +137,7 @@ def solvent_from_latent(pairs, side="right", polynomial=None, eps_sing=DEFAULT_E
     else:
         W = V.T  # rows are the left latent vectors
         M = np.linalg.inv(W) @ lam @ W
-    if is_conjugate_closed(roots):
-        M = realify(M, 1e-8)
+    M = realify(M, 1e-8)
     residual = solvent_residual(polynomial, M, side) if polynomial is not None else None
     return Solvent(M, side, sort_complex(np.asarray(roots)), residual)
 
@@ -427,8 +427,7 @@ def _search(mono, values, vectors, eps_sing, tau_gap, tau_null, node_budget):
             return None
         vecs = np.stack([np.hstack([parts[i][1] for i in g]) for g in groups])
         stack = (vecs * np.stack(spectra)[:, None, :]) @ np.linalg.inv(vecs)
-        mats = [realify(R, 1e-8) if is_conjugate_closed(z) else R
-                for R, z in zip(stack, spectra)]
+        mats = [realify(R, 1e-8) for R in stack]
         residuals = _solvent_residuals(mono, mats)
         if np.any(residuals > _SEARCH_RESIDUAL):
             return None

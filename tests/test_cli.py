@@ -211,6 +211,25 @@ def test_reduce_threshold_zero_echoes_input(tmp_path, capsys):
     np.testing.assert_allclose(red.C, orig.C)
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in ("reduce", "analyze")
+    for flag, value in (("--threshold", "-1"), ("--h2-threshold", "0"),
+                        ("--node-budget", "0"), ("--eps-sing", "nan"))
+] + [("bode", "--eps-sing", "nan"), ("bode", "--eps-sing", "-1")])
+def test_out_of_range_tolerance_exit_2(tmp_path, capsys, command, flag, value):
+    # an out-of-range tolerance is an invariant violation, not a traceback
+    # and not a silently different computation
+    out_path = tmp_path / "out.sys"
+    argv = [command, fixture_path(), flag, value]
+    if command != "analyze":
+        argv += ["--out", str(out_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_reduce_latent_method_runs(tmp_path, capsys):
     out_path = str(tmp_path / "latent.sys")
     code = main([

@@ -16,6 +16,7 @@ from blockred.errors import (
     ConjugateBreak,
     DimensionMismatch,
     NoCompleteSetFound,
+    NonDiagonalizableBlock,
     UnstableSystem,
 )
 from blockred.matpoly import MatrixPolynomial
@@ -215,9 +216,9 @@ def test_modal_block_keeps_conjugate_pairs_together(rng):
         assert_allclose(StateSpace(blk.a, blk.b, blk.c).transfer(s), full.transfer(s), rtol=1e-12)
 
 
-def test_trim_preserves_remaining_transfer(rng):
-    # dropping a conjugate pair from a 4-state block keeps the other pair's
-    # contribution bit-consistent with a direct modal evaluation
+def _two_pair_block(rng):
+    """A 4-state block, 2 inputs and 2 outputs, with the conjugate pairs
+    -1 +- 3j and -8 +- 1.5j in random coordinates."""
     a = np.array([
         [-1.0, 3.0, 0.0, 0.0],
         [-3.0, -1.0, 0.0, 0.0],
@@ -227,8 +228,14 @@ def test_trim_preserves_remaining_transfer(rng):
     T = rng.standard_normal((4, 4))
     while abs(np.linalg.det(T)) < 0.5:
         T = rng.standard_normal((4, 4))
-    blk = DiagonalBlock(T @ a @ np.linalg.inv(T), rng.standard_normal((4, 2)),
-                        rng.standard_normal((2, 4)))
+    return DiagonalBlock(T @ a @ np.linalg.inv(T), rng.standard_normal((4, 2)),
+                         rng.standard_normal((2, 4)))
+
+
+def test_trim_preserves_remaining_transfer(rng):
+    # dropping a conjugate pair from a 4-state block keeps the other pair's
+    # contribution bit-consistent with a direct modal evaluation
+    blk = _two_pair_block(rng)
     bd = BlockDiagonalRealization((blk,))
     vals = blk.eigenvalues
     # drop the pair nearest -8
@@ -248,6 +255,57 @@ def test_trim_preserves_remaining_transfer(rng):
                 res = np.outer(blk.c @ R[:, i], L[:, i].conj() @ blk.b) / denom
                 dropped_sum += res / (s - lam)
         assert_allclose(out.transfer(s), full - dropped_sum, rtol=1e-7, atol=1e-9)
+
+
+def test_trim_subsystem_eigen_decomposes_the_block_once(count_calls, rng):
+    # drop positions index the modes of one eig of the block, sorted by
+    # (real, imag): no eigvals pass, and no value is matched back to a mode
+    eigs = count_calls("eig", np.linalg)
+    values = count_calls("eigvals", np.linalg)
+
+    def trim(blk, drop):
+        eigs.clear()
+        values.clear()
+        out = trim_subsystem_eigen(BlockDiagonalRealization((blk,)), 0, drop)
+        assert [args[0].shape for args in eigs] == [blk.a.shape]
+        assert values == []
+        return out
+
+    # a repeated eigenvalue: positions 0, 1 and 2 are the states 2, 0 and 1,
+    # so the two positions of -1 name different modes
+    d = np.array([-1.0, -1.0, -2.0])
+    b, c = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+    repeated = DiagonalBlock(np.diag(d), b, c)
+    for drop, kept in (([0], [0, 1]), ([1], [1, 2]), ([2], [0, 2]), ([0, 1], [1]),
+                       ([1, 2], [2])):
+        out = trim(repeated, drop)
+        for s in probe_points(rng, 3):
+            want = c[:, kept] @ np.diag(1.0 / (s - d[kept])) @ b[kept]
+            assert_allclose(out.transfer(s), want, rtol=1e-12)
+    assert trim(repeated, [2, 0, 1, 1]).blocks == ()
+    # a complex input matrix keeps its imaginary part next to a real a
+    b = b + 1j * rng.standard_normal((3, 2))
+    out = trim(DiagonalBlock(np.diag(d), b, c), [0])
+    for s in probe_points(rng, 3):
+        want = c[:, :2] @ np.diag(1.0 / (s - d[:2])) @ b[:2]
+        assert_allclose(out.transfer(s), want, rtol=1e-12)
+
+    # two conjugate pairs: positions 0 and 1 are -8 -+ 1.5j, 2 and 3 are -1 -+ 3j
+    blk = _two_pair_block(rng)
+    full = BlockDiagonalRealization((blk,))
+    slow, fast = trim(blk, [0, 1]), trim(blk, [2, 3])
+    assert_allclose(slow.poles(), [-1.0 - 3.0j, -1.0 + 3.0j], rtol=1e-9)
+    assert_allclose(fast.poles(), [-8.0 - 1.5j, -8.0 + 1.5j], rtol=1e-9)
+    for s in probe_points(rng, 3):
+        assert_allclose(slow.transfer(s) + fast.transfer(s), full.transfer(s), rtol=1e-9)
+    with pytest.raises(ConjugateBreak):
+        trim_subsystem_eigen(full, 0, [1, 2])
+    # a block that is not diagonalizable fails before the drop splits a pair
+    rot = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    jordan = np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]])
+    defective = DiagonalBlock(jordan, rng.standard_normal((4, 1)), rng.standard_normal((1, 4)))
+    with pytest.raises(NonDiagonalizableBlock):
+        trim_subsystem_eigen(BlockDiagonalRealization((defective,)), 0, [0])
 
 
 def test_reduce_dominant_planted_weak_block(rng):
@@ -390,10 +448,9 @@ def test_eigenvalue_trims_never_split_a_conjugate_pair(monkeypatch):
     assert not np.iscomplexobj(red.A)
 
 
-def test_eigenvalue_trims_take_the_modes_their_block_owns(count_calls):
+def test_eigenvalue_trims_take_the_modes_their_block_owns():
     # a trim step drops the modes of one unit of the block's own modes, by
     # position: no eigenvalue is matched back to a mode by distance
-    taken = count_calls("_take_modes", reduce)
     _, rep = reduce_dominant(load_power_network(fixed=True), trim_eigen=True)
     assert rep.eliminated == [
         "block 1 [-9.09629-11.0387j, -9.09629+11.0387j] (no dominant pole)",
@@ -415,7 +472,6 @@ def test_eigenvalue_trims_take_the_modes_their_block_owns(count_calls):
         assert rep.eliminated[-1] == label
         assert rep.re_value == pytest.approx(re_value, rel=1e-9)
         assert rep.h2_error == pytest.approx(h2, rel=1e-9)
-    assert taken == []
 
 
 def _width_systems():

@@ -125,6 +125,20 @@ def test_solvent_from_latent_left_side(rng):
     assert is_solvent(P, sol.matrix, "left", tol=1e-7)
 
 
+def test_solvent_from_latent_keeps_a_complex_solvent(rng):
+    # roots that are not closed under conjugation give a complex solvent;
+    # realify leaves its imaginary part, which is not negligible, in place
+    V = rng.standard_normal((2, 2))
+    roots = [-1.0 + 1.0j, -2.0]
+    R = V @ np.diag(roots) @ np.linalg.inv(V)
+    P = denominator_from_solvents([R, np.diag([-5.0, -6.0])])
+    sol = solvent_from_latent(list(zip(roots, V.T)), "right", polynomial=P)
+    assert np.iscomplexobj(sol.matrix)
+    assert_allclose(sol.matrix, R, rtol=1e-12, atol=1e-12)
+    assert_allclose(sol.eigenvalues, [-2.0, -1.0 + 1.0j])
+    assert sol.residual < 1e-12
+
+
 def test_block_vandermonde_structure():
     R1 = np.array([[1.0, 2.0], [0.0, 1.0]])
     R2 = np.array([[3.0, 0.0], [1.0, 3.0]])

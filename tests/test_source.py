@@ -34,3 +34,22 @@ def test_every_private_function_is_referenced():
     orphans = sorted(f"{module}:{name}" for name, module in private.items()
                      if name not in referenced)
     assert orphans == []
+
+
+def test_every_import_is_used():
+    # a name a module imports and never references is left over from a
+    # refactor; __init__.py imports to re-export
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert modules, "no modules found: wrong package path?"
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
