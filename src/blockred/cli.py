@@ -21,10 +21,9 @@ import numpy as np
 from .dompoles import dominant_poles
 from .errors import BlockredError, DimensionMismatch, ProbeAtPole
 from .metrics import as_state_space, h2_norm, hankel_singular_values
-from .reduce import Tolerances, _fmt_value, reduce_dominant, reduce_latent
+from .reduce import Tolerances, _as_fraction, _fmt_value, reduce_dominant, reduce_latent
 from .solvents import compute_complete_set
 from .sysdoc import build_system, load_document, save_document
-from .sysrep import RightMFD, mfd_from_state_space
 
 log = logging.getLogger("blockred")
 
@@ -89,18 +88,17 @@ def _print_section(title, body):
 
 
 def cmd_analyze(args):
+    if args.k is not None and args.k < 1:
+        raise DimensionMismatch(f"--k must be at least 1, got {args.k}")
     doc, sys_obj = _load(args.path)
     print(f"type: {doc.kind}" + (f"  name: {doc.name}" if doc.name else ""))
     print(_shape_line(doc, sys_obj))
     ss = as_state_space(sys_obj)
     tol = _tolerances(args)
 
-    if isinstance(sys_obj, RightMFD):
-        frac = sys_obj
-    else:
-        frac = mfd_from_state_space(ss, tol.eps_sing)
-
     def solvent_section():
+        # only this section needs a matrix fraction, which a system may lack
+        frac = _as_fraction(sys_obj, tol.eps_sing)
         cset = compute_complete_set(
             frac.D, eps_sing=tol.eps_sing, tau_gap=tol.tau_gap,
             tau_null=tol.tau_null, node_budget=tol.node_budget,
@@ -184,10 +182,7 @@ def cmd_reduce(args):
     doc, sys_obj = _load(args.path)
     tol = _tolerances(args)
     if args.method == "latent":
-        if isinstance(sys_obj, RightMFD):
-            frac = sys_obj
-        else:
-            frac = mfd_from_state_space(as_state_space(sys_obj), tol.eps_sing)
+        frac = _as_fraction(sys_obj, tol.eps_sing)
         reduced, report = reduce_latent(frac, tol, hankel_power=args.hankel_power)
     else:
         reduced, report = reduce_dominant(

@@ -16,13 +16,13 @@ matrix (the two gramians, the blocks of an H2 difference) share its
 inverses.  Solutions for an ill-conditioned A are refined once with an
 extended-precision residual.
 
-reduce_latent measures every candidate through one ErrorGuard per
-reduction: the error of a candidate is realized on the full system's own
-(A, B) with an output matrix of its own, so all candidates share one sign
-iteration and no error system is larger than the full one.
-reduce_dominant drops modes of one modal form, so each of its candidates is
-a modal truncation, whose gramians are corners of two Cauchy matrices
-(_ModalGuard): no sign iteration and no eigensolve per candidate.
+Both reduction pipelines measure their candidates through one ErrorGuard
+per reduction: a candidate is the output matrix of its error system on the
+full system's own (A, B), so no error system is larger than the full one,
+and its RE and H2 error are read from power sums of the gramians, not from
+an eigensolve.  reduce_latent builds the guard from the system (one sign
+iteration, replayed per candidate), reduce_dominant from the modal form it
+already holds (Cauchy gramians, no sign iteration).
 """
 
 import math
@@ -337,48 +337,6 @@ def hankel_singular_values(system):
     return _hankel(_square_root(g.controllability), g.observability)
 
 
-class ErrorGuard:
-    """Error measures of the candidate reductions of one stable system.
-
-    A candidate is passed in as the output matrix C_e of its error system on
-    the full system's (A, B): G - G_c = C_e (sI - A)^-1 B.  The sign
-    iteration runs on A once, when the guard is built, and yields the
-    controllability gramian P with a factor P = S S^H, the full system's
-    Hankel spectrum and its H2 norm.  A candidate's observability gramian
-    Q_e then comes from replaying the recorded steps on C_e^H C_e (no new
-    inverse), its Hankel values from S^H Q_e S and its H2 norm from
-    tr(C_e P C_e^H).
-    """
-
-    def __init__(self, system):
-        sys = as_state_space(system)
-        _require_stable(sys, "reduction")
-        self._bases = [sys.A]
-        self._size = float(np.linalg.norm(sys.A))
-        self._steps, self._conds = _sign_steps(self._bases)
-        self._P = self._solve(_gram(sys.B), False)
-        self._S = _square_root(self._P)
-        self.spectrum = _hankel(self._S, self._solve(_gram(_ct(sys.C)), True))
-        self.h2_norm = self.h2_error(sys.C)
-
-    def _solve(self, w, dual):
-        x = _solve_term(self._steps, self._conds, self._bases, (0, 0, w, dual))
-        return 0.5 * (x + _ct(x))
-
-    def hankel(self, c_err):
-        """Hankel spectrum of the error system with output matrix c_err."""
-        return _hankel(self._S, self._solve(_gram(_ct(c_err)), True))
-
-    def h2_error(self, c_err):
-        """H2 norm of the error system with output matrix c_err."""
-        return float(np.sqrt(max(_output_power(c_err, self._P, c_err), 0.0)))
-
-    def require_stable(self, poles, what):
-        """UnstableSystem unless the poles of a candidate are stable by the
-        margin the full system's state matrix sets."""
-        _require_stable_values(poles, self._size, what)
-
-
 def _factor(P):
     """A factor S with P = S S^H: the Cholesky factor, or _square_root's
     when P is numerically singular."""
@@ -388,48 +346,70 @@ def _factor(P):
         return _square_root(P)
 
 
-class _ModalGuard:
-    """Error measures of the modal truncations of one stable system.
+class ErrorGuard:
+    """Error measures of the candidate reductions of one stable system.
 
-    Built from the system's modal form (values lambda, input rows b and
-    output columns c of its modes; see dompoles.ModalForm).  Dropping the
-    modes I leaves the error system (diag(lambda_I), b_I, c_I), whose
-    gramians are the I x I corners of the Cauchy matrices
-    P = -(b b^H) / (lambda_i + conj(lambda_j)) and
-    Q = -(c^H c) / (conj(lambda_i) + lambda_j), entrywise (Antoulas,
-    Approximation of Large-Scale Dynamical Systems, 2005, ch. 6).  The full
-    Hankel spectrum and H2 norm come from P and Q once.  With
-    P_II = S S^H, a candidate's Hankel power sums are the squared Frobenius
-    norm (power 4) and the trace (power 2) of S^H Q_II S, and its H2 error is
-    the root of tr(c_I P_II c_I^H): no Lyapunov solve and no eigensolve per
-    candidate.  The caller checks stability first.
+    A candidate is passed in as the output matrix C_e of its error system on
+    the full system's own (A, B): G - G_c = C_e (sI - A)^-1 B.  The guard
+    holds the controllability gramian P = S S^H, a map from C_e to its
+    observability gramian Q_e, and the full Hankel spectrum and H2 norm.  A
+    candidate's Hankel power sums are the squared Frobenius norm (power 4)
+    and the trace (power 2) of S^H Q_e S, and its H2 norm is the root of
+    tr(C_e P C_e^H): no eigensolve per candidate.
     """
 
-    def __init__(self, modes):
-        lam, b, c = modes.values, modes.inputs, modes.outputs
-        self._P = -_gram(b) / (lam[:, None] + lam.conj()[None, :])
-        self._Q = -(_ct(c) @ c) / (lam.conj()[:, None] + lam[None, :])
-        self._c = c
-        self.spectrum = _hankel(_factor(self._P), self._Q)
-        self.h2_norm = float(np.sqrt(max(_output_power(c, self._P, c), 0.0)))
+    def __init__(self, P, S, observability, c):
+        self._P = P
+        self._S = S
+        self._observability = observability
+        self.spectrum = _hankel(S, observability(c))
+        self.h2_norm = self.h2_error(c)
 
-    def relative_error(self, dropped, hankel_power=4):
-        """RE of dropping the modes in the boolean mask `dropped`."""
+    @classmethod
+    def from_system(cls, system):
+        """The guard of a stable system: one sign iteration on A, whose
+        recorded steps each Q_e replays on C_e^H C_e.  The spectrum is
+        hankel_singular_values' to the bit."""
+        sys = as_state_space(system)
+        _require_stable(sys, "reduction")
+        steps, conds = _sign_steps([sys.A])
+
+        def solve(w, dual):
+            x = _solve_term(steps, conds, [sys.A], (0, 0, w, dual))
+            return 0.5 * (x + _ct(x))
+
+        P = solve(_gram(sys.B), False)
+        return cls(P, _square_root(P), lambda c: solve(_gram(_ct(c)), True), sys.C)
+
+    @classmethod
+    def from_modes(cls, modes):
+        """The guard of a stable system in modal form (values lambda and input
+        rows b of its modes; see dompoles.ModalForm), error outputs being in
+        modal coordinates.  Its gramians are the Cauchy matrices
+        P = -(b b^H) / (lambda_i + conj(lambda_j)) and
+        Q_e = -(C_e^H C_e) / (conj(lambda_i) + lambda_j), entrywise (Antoulas,
+        Approximation of Large-Scale Dynamical Systems, 2005, ch. 6).  Dropping
+        modes is the output matrix with the columns of the kept modes zeroed."""
+        lam, b = modes.values, modes.inputs
+        P = -_gram(b) / (lam[:, None] + lam.conj()[None, :])
+        sums = lam.conj()[:, None] + lam[None, :]
+        return cls(P, _factor(P), lambda c: -(_ct(c) @ c) / sums, modes.outputs)
+
+    def relative_error(self, c_err, hankel_power=4):
+        """RE of the error system with output matrix c_err against the full
+        system, at Hankel power 2 or 4 (see relative_error)."""
         if hankel_power not in (2, 4):
             raise ValueError(f"hankel_power must be 2 or 4, got {hankel_power}")
-        I = np.ix_(dropped, dropped)
-        S = _factor(self._P[I])
-        M = _ct(S) @ self._Q[I] @ S
+        M = _ct(self._S) @ self._observability(c_err) @ self._S
         numer = max(_fro2(M) if hankel_power == 4 else float(np.trace(M).real), 0.0)
         denom = self.spectrum.power_sum(hankel_power)
         if denom == 0.0:
             return 0.0 if numer == 0.0 else np.inf
         return float(np.sqrt(numer / denom))
 
-    def h2_error(self, dropped):
-        """H2 norm of the error system that drops the modes in `dropped`."""
-        c = self._c[:, dropped]
-        return float(np.sqrt(max(_output_power(c, self._P[np.ix_(dropped, dropped)], c), 0.0)))
+    def h2_error(self, c_err):
+        """H2 norm of the error system with output matrix c_err."""
+        return float(np.sqrt(max(_output_power(c_err, self._P, c_err), 0.0)))
 
 
 def relative_error(full, neglected, hankel_power=4):

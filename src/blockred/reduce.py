@@ -19,15 +19,12 @@ Two pipelines:
   realization of the modes kept.
 
 Every elimination is guarded by the relative error RE of the neglected part
-against the full system (and optionally by a relative H2 error gate).
-reduce_latent reads both from one metrics.ErrorGuard per reduction, built on
-the full controller form: each candidate's error system is realized on that
-form's own (A, B) through an output matrix, the numerator difference over
-the full denominator.  reduce_dominant reads both from the modal form of the
-full controller form, which is also its one spectral computation: discarded
-blocks and trimmed eigenvalues drop modes of it, so each candidate's error
-system is a modal truncation, measured by metrics._ModalGuard from Cauchy
-gramians.
+against the full system (and optionally by a relative H2 error gate), both
+read from one metrics.ErrorGuard per reduction as an output matrix on the
+full system's (A, B).  reduce_latent builds it from the full controller
+form; a candidate is the numerator difference over the full denominator.
+reduce_dominant builds it from that form's modal form, its one spectral
+computation; a candidate zeroes the output columns of the modes it keeps.
 """
 
 from dataclasses import dataclass, field
@@ -49,11 +46,9 @@ from .dompoles import _conjugate_partners, _ranked_modes, modal_form
 from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, mul_linear, poly_mul
 from .metrics import (
     ErrorGuard,
-    _ModalGuard,
     _require_stable,
     _require_stable_values,
     as_state_space,
-    relative_error,
 )
 from .solvents import (
     _root_partition,
@@ -132,6 +127,14 @@ def _h2_gate(guard, c_err, tol):
     return rel <= tol.h2_threshold
 
 
+def _as_fraction(system, eps_sing):
+    """A system as a right matrix fraction: itself if it is one, else
+    extracted from its state-space form."""
+    if isinstance(system, RightMFD):
+        return system
+    return mfd_from_state_space(as_state_space(system), eps_sing)
+
+
 # -- method 1: latent root elimination on the matrix fraction -----------------
 
 def _elimination_candidates(D, limit=200):
@@ -164,7 +167,8 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
     if fraction.D.degree <= 1:
         raise AlreadyMinimal("denominator degree is already 1")
     full = controller_canonical(fraction)
-    guard = ErrorGuard(full)  # raises UnstableSystem unless full is stable
+    guard = ErrorGuard.from_system(full)  # raises UnstableSystem unless full is stable
+    size = float(np.linalg.norm(full.A))  # sets the stability margin of kept roots
     r = fraction.D.degree
     # D = D_c Q with Q(s) = (sI - R_k) ... (sI - R_1) the factors divided out so
     # far, so G - G_c = (N - N_c Q) inv(D): an output matrix on the full form
@@ -191,7 +195,8 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
                     "no conjugate-closed latent root group spans a solvent"
                 )
             break
-        guard.require_stable(rest, "the reduced fraction")
+        # the guard never forms a candidate's state matrix: check its roots
+        _require_stable_values(rest, size, "the reduced fraction")
 
         newD = current.D.block_divide(solvent.matrix, "right").quotient
         if current.N.degree < newD.degree:
@@ -208,7 +213,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
         )
         trial = mul_linear(divided, solvent.matrix, "left")
         c_err = full.C - controller_output(poly_mul(candidate.N, trial), r)
-        re_c = relative_error(guard.spectrum, guard.hankel(c_err), hankel_power)
+        re_c = guard.relative_error(c_err, hankel_power)
         if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
             break  # roll back this elimination
         current = candidate
@@ -399,15 +404,14 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     block takes one member of a conjugate pair of modes and leaves the other.
     An input that fails the stability check or the search and whose
     controller form is not diagonalizable as well raises the former error.
+    A k below 1 raises DimensionMismatch; one above n counts every mode.
 
     Returns (StateSpace, ReductionReport).
     """
     tol = tol or Tolerances()
-    if isinstance(sys, RightMFD):
-        frac = sys
-    else:
-        ss_in = as_state_space(sys)
-        frac = mfd_from_state_space(ss_in, tol.eps_sing)
+    if k is not None and int(k) < 1:
+        raise DimensionMismatch(f"k must be at least 1, got {k}")
+    frac = _as_fraction(sys, tol.eps_sing)
     css = controller_canonical(frac)
     search = dict(eps_sing=tol.eps_sing, tau_gap=tol.tau_gap, tau_null=tol.tau_null,
                   node_budget=tol.node_budget)
@@ -431,12 +435,12 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     for i, group in enumerate(groups):
         owner[group] = i
     dom = [float(np.max(dominance[owner == i], initial=0.0)) for i in range(len(spectra))]
-    count = n if k is None else max(1, min(int(k), n))
+    count = n if k is None else min(int(k), n)
     ranked = np.array(_ranked_modes(modes, count, real_system))
     claimed = set(owner[_dominance_cut(ranked, dominance, tol.dominance_cutoff)].tolist())
     by_dominance = sorted(range(len(spectra)), key=lambda j: dom[j])
     # with no block left unclaimed no guard runs
-    guard = _ModalGuard(modes) if len(claimed) < len(spectra) else None
+    guard = ErrorGuard.from_modes(modes) if len(claimed) < len(spectra) else None
     eliminated = []
     dropped = np.zeros(n, dtype=bool)
     re_val = 0.0
@@ -449,13 +453,14 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
         nonlocal dropped, re_val, h2_abs, iterations, breached
         iterations += 1
         trial = dropped | step
-        re_c = guard.relative_error(trial, hankel_power)
-        if re_c > tol.re_threshold or not _h2_gate(guard, trial, tol):
+        c_err = modes.outputs * trial
+        re_c = guard.relative_error(c_err, hankel_power)
+        if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
             breached = True
             return False
         dropped = trial
         re_val = re_c
-        h2_abs = guard.h2_error(trial)
+        h2_abs = guard.h2_error(c_err)
         eliminated.append(label)
         return True
 

@@ -39,6 +39,26 @@ matrix C 1 2
 1 1
 """
 
+ODD_ORDER = """\
+type: state_space
+n: 3
+m: 2
+p: 1
+
+matrix A 3 3
+-1 0 0
+0 -2 0
+0 0 -3
+
+matrix B 3 2
+1 0
+0 1
+1 1
+
+matrix C 1 3
+1 1 1
+"""
+
 FIRST_ORDER = """\
 type: state_space
 n: 1
@@ -215,7 +235,8 @@ def test_reduce_threshold_zero_echoes_input(tmp_path, capsys):
     (command, flag, value)
     for command in ("reduce", "analyze")
     for flag, value in (("--threshold", "-1"), ("--h2-threshold", "0"),
-                        ("--node-budget", "0"), ("--eps-sing", "nan"))
+                        ("--node-budget", "0"), ("--eps-sing", "nan"),
+                        ("--k", "0"), ("--k", "-1"))
 ] + [("bode", "--eps-sing", "nan"), ("bode", "--eps-sing", "-1")])
 def test_out_of_range_tolerance_exit_2(tmp_path, capsys, command, flag, value):
     # an out-of-range tolerance is an invariant violation, not a traceback
@@ -228,6 +249,20 @@ def test_out_of_range_tolerance_exit_2(tmp_path, capsys, command, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_analyze_without_a_matrix_fraction(tmp_path, capsys):
+    # n = 3 is no multiple of m = 2, so there is no matrix fraction and no
+    # solvent set; the Hankel, H2 and dominant-pole sections need neither
+    path = write(tmp_path, "odd.sys", ODD_ORDER)
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert ("solvents:\n  unavailable: state dimension 3 is not a multiple of the "
+            "input count 2\n") in out
+    hankel = out.split("hankel singular values:\n")[1].split("h2 norm:")[0]
+    assert len(hankel.splitlines()) == 3
+    assert "dominant poles:\n  -1   dominance 1\n" in out
+    assert out.count("unavailable") == 1
 
 
 def test_reduce_latent_method_runs(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blockred.dompoles import modal_form
 from blockred.errors import (
     DimensionMismatch,
     FeedthroughMismatch,
@@ -11,6 +12,7 @@ from blockred.errors import (
 from blockred.metrics import (
     STABILITY_MARGIN,
     ErrorGuard,
+    HankelSpectrum,
     bode_samples,
     gramians,
     h2_error,
@@ -29,6 +31,7 @@ from conftest import (
     hankel_oracle,
     lyapunov_exact,
     lyapunov_oracle,
+    random_diagonalizable_stable,
     random_stable_matrix,
     random_stable_system,
 )
@@ -138,7 +141,7 @@ def test_numerically_marginal_state_matrices_are_unstable():
         assert np.max(np.linalg.eigvals(a).real) > -STABILITY_MARGIN * np.linalg.norm(a)
         ss = StateSpace(a, np.eye(4), np.eye(4))
         for solve in (lambda: lyapunov_solve(a, np.eye(4)), lambda: gramians(ss),
-                      lambda: ErrorGuard(ss)):
+                      lambda: ErrorGuard.from_system(ss)):
             with pytest.raises(UnstableSystem):
                 solve()
 
@@ -304,22 +307,43 @@ def test_relative_error_reuses_full_spectrum(rng):
 
 def test_error_guard_matches_the_oracles(rng):
     ss = random_stable_system(rng, 6, 2, 3)
-    guard = ErrorGuard(ss)
+    guard = ErrorGuard.from_system(ss)
     assert np.array_equal(guard.spectrum.values, hankel_singular_values(ss).values)
     assert guard.h2_norm == pytest.approx(h2_norm(ss), rel=1e-12)
     P = lyapunov_oracle(ss.A, ss.B @ ss.B.T)
+    full = HankelSpectrum(hankel_oracle(ss))
     for c_err in (rng.standard_normal((3, 6)), rng.standard_normal((1, 6)),
                   rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))):
         err = StateSpace(ss.A, ss.B, c_err)
         Q = lyapunov_oracle(ss.A.conj().T, c_err.conj().T @ c_err)
         want = np.sort(np.sqrt(np.clip(np.linalg.eigvals(P @ Q).real, 0.0, None)))[::-1]
-        got = guard.hankel(c_err).values
-        assert_allclose(got, want, rtol=1e-9, atol=1e-12 * want[0])
-        if not np.iscomplexobj(c_err):
-            assert_allclose(got, hankel_singular_values(err).values, rtol=1e-9,
-                            atol=1e-12 * want[0])
+        for power in (2, 4):
+            got = guard.relative_error(c_err, power)
+            want_re = relative_error(full, HankelSpectrum(want), power)
+            assert got == pytest.approx(want_re, rel=1e-9)
+            if not np.iscomplexobj(c_err):
+                assert got == pytest.approx(relative_error(ss, err, power), rel=1e-9)
         assert guard.h2_error(c_err) == pytest.approx(
             np.sqrt(np.trace(c_err @ P @ c_err.conj().T).real), rel=1e-10)
+
+
+def test_error_guard_sources_agree(rng):
+    # the guard from the system (sign iteration) and the guard from its modal
+    # form (Cauchy gramians) measure the same error system: C_e in state
+    # coordinates is C_e X in the modal ones, X being the right eigenvectors
+    for _ in range(5):
+        ss = random_diagonalizable_stable(rng, 6, 2, 3)
+        modes = modal_form(ss.A, ss.B, ss.C, 1e-10)
+        by_system, by_modes = ErrorGuard.from_system(ss), ErrorGuard.from_modes(modes)
+        assert_allclose(by_modes.spectrum.values, by_system.spectrum.values, rtol=1e-9)
+        for c_err in (rng.standard_normal((3, 6)),
+                      rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))):
+            modal = c_err @ modes.right
+            for power in (2, 4):
+                assert by_modes.relative_error(modal, power) == pytest.approx(
+                    by_system.relative_error(c_err, power), rel=1e-9)
+            assert by_modes.h2_error(modal) == pytest.approx(
+                by_system.h2_error(c_err), rel=1e-10)
 
 
 def test_relative_error_rejects_bad_power(rng):

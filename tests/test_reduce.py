@@ -67,6 +67,15 @@ def test_tolerances_validation():
         Tolerances(node_budget=0)
 
 
+def test_reduce_dominant_pole_count():
+    # k below 1 asks for no dominant pole at all; k above n means every one
+    ss = load_power_network(fixed=True)
+    for k in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            reduce_dominant(ss, k=k)
+    assert reduce_dominant(ss, k=ss.n + 5)[1] == reduce_dominant(ss, k=ss.n)[1]
+
+
 def test_reduce_latent_exact_factor(rng):
     # numerator almost exactly divisible by the fast factor: the fast latent
     # roots go and what remains is the slow factor alone
@@ -701,6 +710,30 @@ def test_reduce_dominant_solves_one_eigenproblem(count_calls):
         assert steps == [] and roots == []
 
 
+def test_guard_runs_no_factorization_per_candidate(count_calls):
+    # the guard reads every candidate's RE from power sums of its gramians:
+    # the one eigvalsh of a latent reduction is the full Hankel spectrum's,
+    # and the one Cholesky factorization of a dominant reduction is the full
+    # controllability gramian's, eigenvalue trims included
+    eigvalsh = count_calls("eigvalsh", np.linalg)
+    cholesky = count_calls("cholesky", np.linalg)
+    ss = load_power_network(fixed=True)
+    tol = Tolerances(re_threshold=0.05)
+    attempts = []
+    for fraction, system in ((_two_step_fraction(), _two_step_fraction()),
+                             (mfd_from_state_space(ss), ss)):
+        eigvalsh.clear()
+        _, rep = reduce_latent(fraction, tol)
+        attempts.append(rep.iterations)
+        assert len(eigvalsh) == 1
+        for trim_eigen in (False, True):
+            cholesky.clear()
+            _, rep = reduce_dominant(system, tol, trim_eigen=trim_eigen)
+            attempts.append(rep.iterations)
+            assert len(cholesky) == 1
+    assert attempts == [2, 3, 4, 1, 2, 4]
+
+
 def test_repeated_and_defective_latent_roots_keep_their_outcomes():
     # a repeated root takes a null-space basis of D there in place of
     # eigenvectors; the outcomes are those of the search that built every
@@ -831,10 +864,11 @@ def test_reduce_latent_rejects_an_unstable_candidate(monkeypatch):
 
 def test_error_output_realizes_the_neglected_parts(rng):
     # the dominant guard measures the modes dropped by a mask of the full
-    # controller form's modal form as the modal truncation
-    # (diag(lambda_I), b_I, c_I): its transfer is that of the parts it stands
-    # for (whole discarded blocks, and a block plus one trimmed mode), and its
-    # RE and H2 error are those of a realization of those parts
+    # controller form's modal form through the modal output matrix with the
+    # kept modes' columns zeroed, whose observable part is the modal
+    # truncation (diag(lambda_I), b_I, c_I): its transfer is that of the parts
+    # it stands for (whole discarded blocks, and a block plus one trimmed
+    # mode), and its RE and H2 error are those of a realization of those parts
     D = denominator_from_solvents(
         [np.diag([-1.0, -2.0]), np.array([[-3.0, 4.0], [-4.0, -3.0]]), np.diag([-9.0, -12.0])]
     )
@@ -848,7 +882,7 @@ def test_error_output_realizes_the_neglected_parts(rng):
     for i, group in enumerate(groups):
         owner[group] = i
         assert_allclose(np.sort_complex(modes.values[group]), bd.blocks[i].eigenvalues, atol=1e-9)
-    guard = metrics._ModalGuard(modes)
+    guard = metrics.ErrorGuard.from_modes(modes)
     full4 = np.sum(hankel_oracle(css) ** 4)
 
     def check(dropped, parts):
@@ -857,8 +891,9 @@ def test_error_output_realizes_the_neglected_parts(rng):
             assert_allclose((c / (s - lam)) @ b, transfer_oracle(parts, s), rtol=1e-9, atol=1e-12)
         want_re = np.sqrt(np.sum(hankel_oracle(parts) ** 4) / full4)
         P = lyapunov_oracle(parts.A, parts.B @ parts.B.T)
-        assert guard.relative_error(dropped, 4) == pytest.approx(want_re, rel=1e-9, abs=0.0)
-        assert guard.h2_error(dropped) == pytest.approx(
+        assert guard.relative_error(modes.outputs * dropped, 4) == pytest.approx(
+            want_re, rel=1e-9, abs=0.0)
+        assert guard.h2_error(modes.outputs * dropped) == pytest.approx(
             np.sqrt(np.trace(parts.C @ P @ parts.C.T)), rel=1e-9, abs=0.0)
 
     for discard in ({0}, {1}, {0, 2}, {0, 1, 2}):

@@ -6,30 +6,48 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blockred"
 
 
-def _referenced_names(node, skip):
-    """Names that node uses as a variable or an attribute, leaving out the
-    references to `skip` (the function that node defines, if any)."""
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced_names(nodes, skip):
+    """Names that nodes use as a variable or an attribute, leaving out the
+    references to the names in `skip` (the definitions nodes make)."""
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names - {skip}
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names - skip
+
+
+def _definitions(node):
+    """(name, nodes) pairs that cover a module-level statement: a function or
+    a class with its name, anything else with None.  A class is split into
+    its methods, each under its own name, and the rest of the class, so that
+    a method that only calls itself counts as unreferenced."""
+    if not isinstance(node, _DEFINITIONS):
+        return [(None, [node])]
+    if not isinstance(node, ast.ClassDef):
+        return [(node.name, [node])]
+    methods = [sub for sub in node.body if isinstance(sub, _DEFINITIONS[:2])]
+    rest = [sub for sub in node.body if sub not in methods]
+    return [(node.name, rest + node.bases + node.keywords + node.decorator_list)] + [
+        (method.name, [method]) for method in methods]
 
 
 def test_every_private_function_is_referenced():
-    # a module-level _helper that nothing in the package uses outside its own
+    # a module-level _helper function or _Class, or a _method of a
+    # module-level class, that nothing in the package uses outside its own
     # definition is left over from a refactor
     private, referenced = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                own = node.name
-                if own.startswith("_") and not own.endswith("__"):
-                    private[own] = path.name
-            referenced |= _referenced_names(node, own)
+            for name, nodes in _definitions(node):
+                if name and name.startswith("_") and not name.endswith("__"):
+                    private[name] = path.name
+                referenced |= _referenced_names(nodes, {name})
     assert private, "no private functions found: wrong package path?"
     orphans = sorted(f"{module}:{name}" for name, module in private.items()
                      if name not in referenced)
