@@ -168,7 +168,7 @@ def _report_text(report):
         f"reduced_order: {report.reduced_order}",
         f"threshold: {_fmt(report.threshold)}",
         f"re_value: {_fmt(report.re_value)}",
-        "h2_error: " + (_fmt(report.h2_error) if report.h2_error is not None else "not computed"),
+        f"h2_error: {_fmt(report.h2_error)}",
         f"neglected_numerator_norm: {_fmt(report.neglected_numerator_norm)}",
         f"iterations: {report.iterations}",
         f"eliminated: {len(report.eliminated)}",
@@ -303,13 +303,12 @@ def cmd_bode(args):
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_tolerance_flags(sub, include_h2=True):
+def _add_tolerance_flags(sub):
     d = Tolerances()
     sub.add_argument("--threshold", type=float, default=None,
                      help=f"relative error threshold (default {d.re_threshold})")
-    if include_h2:
-        sub.add_argument("--h2-threshold", dest="h2_threshold", type=float,
-                         default=None, help="optional relative H2 error gate")
+    sub.add_argument("--h2-threshold", dest="h2_threshold", type=float,
+                     default=None, help="optional relative H2 error gate")
     sub.add_argument("--tau-null", dest="tau_null", type=float, default=None,
                      help=f"null space detection tolerance (default {d.tau_null})")
     sub.add_argument("--tau-gap", dest="tau_gap", type=float, default=None,

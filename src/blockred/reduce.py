@@ -18,13 +18,13 @@ Two pipelines:
   inside kept blocks are trimmed as well.  The reduced model is the modal
   realization of the modes kept.
 
-Every elimination is guarded by the relative error RE of the neglected part
-against the full system (and optionally by a relative H2 error gate), both
-read from one metrics.ErrorGuard per reduction as an output matrix on the
-full system's (A, B).  reduce_latent builds it from the full controller
-form; a candidate is the numerator difference over the full denominator.
-reduce_dominant builds it from that form's modal form, its one spectral
-computation; a candidate zeroes the output columns of the modes it keeps.
+One guarded step serves both pipelines.  It measures each attempt's relative
+error RE once, and when RE passes its H2 error once (for the optional H2
+gate), from one metrics.ErrorGuard per reduction, given as an output matrix
+on the full system's (A, B).  reduce_latent builds the guard from the full
+controller form; a candidate is the numerator difference over the full
+denominator.  reduce_dominant builds it from that form's modal form, its one
+spectral computation; a candidate zeroes the output columns of its kept modes.
 """
 
 from dataclasses import dataclass, field
@@ -95,12 +95,20 @@ class Tolerances:
 
 @dataclass
 class ReductionReport:
+    """What a reduction did.  eliminated labels the accepted steps in order;
+    re_value (relative) and h2_error (absolute) are the last accepted step's,
+    0.0 when none was accepted; threshold is the RE threshold used;
+    neglected_numerator_norm sums the norms of the numerator remainders
+    dropped, set by "latent" only; iterations counts the guard attempts of
+    "dominant", and the passes of "latent", the last one, which finds no
+    solvent, included."""
+
     method: str
     original_order: int
     reduced_order: int
     eliminated: List[str] = field(default_factory=list)
     re_value: float = 0.0
-    h2_error: Optional[float] = None
+    h2_error: float = 0.0
     neglected_numerator_norm: float = 0.0
     threshold: float = 0.0
     iterations: int = 0
@@ -117,14 +125,34 @@ def _fmt_values(values):
     return ", ".join(_fmt_value(z) for z in np.asarray(values, dtype=complex).ravel())
 
 
-def _h2_gate(guard, c_err, tol):
-    """Whether the candidate with error output c_err passes the relative H2
-    gate; always true when no gate is configured."""
-    if tol.h2_threshold is None:
-        return True
-    err, base = guard.h2_error(c_err), guard.h2_norm
-    rel = np.inf if base == 0.0 and err > 0.0 else (0.0 if base == 0.0 else err / base)
-    return rel <= tol.h2_threshold
+class _GuardedSteps:
+    """The guarded step of both pipelines, with a record (label, re, h2,
+    accepted) per attempt, h2 None where RE breached, to report from."""
+
+    def __init__(self, guard, tol, hankel_power):
+        self.guard, self.tol, self.hankel_power = guard, tol, hankel_power
+        self.records = []
+
+    def attempt(self, c_err, label):
+        """Whether the candidate with error output c_err passes the RE
+        threshold and, when one is set, the relative H2 gate."""
+        re, h2 = self.guard.relative_error(c_err, self.hankel_power), None
+        accepted = re <= self.tol.re_threshold
+        if accepted:
+            h2, base, gate = self.guard.h2_error(c_err), self.guard.h2_norm, self.tol.h2_threshold
+            rel = np.inf if base == 0.0 and h2 > 0.0 else (0.0 if base == 0.0 else h2 / base)
+            accepted = gate is None or rel <= gate
+        self.records.append((label, re, h2, accepted))
+        return accepted
+
+    @property
+    def eliminated(self):
+        return [label for label, _, _, accepted in self.records if accepted]
+
+    def report(self, method, original_order, reduced_order, iterations, neglected=0.0):
+        re, h2 = next(((re, h2) for _, re, h2, ok in reversed(self.records) if ok), (0.0, 0.0))
+        return ReductionReport(method, original_order, reduced_order, self.eliminated, re, h2,
+                               neglected, self.tol.re_threshold, iterations)
 
 
 def _as_fraction(system, eps_sing):
@@ -137,7 +165,7 @@ def _as_fraction(system, eps_sing):
 
 # -- method 1: latent root elimination on the matrix fraction -----------------
 
-def _elimination_candidates(D, limit=200):
+def _elimination_candidates(D):
     """Conjugate-closed root selections of size m, each with the latent roots
     it leaves behind: unions of units of _root_partition, fewest units first,
     then lexicographic (see _size_combinations).  The leftmost roots need not
@@ -149,7 +177,9 @@ def _elimination_candidates(D, limit=200):
         for c, unit in enumerate(units):
             (sel if c in combo else rest).extend(z for z, idx in unit for _ in idx)
         yield sel, rest
-        if count >= limit:
+        # selections grow combinatorially with the units, and each costs the
+        # caller a solvent construction: a pass gives up after 200
+        if count >= 200:
             return
 
 
@@ -168,17 +198,15 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
         raise AlreadyMinimal("denominator degree is already 1")
     full = controller_canonical(fraction)
     guard = ErrorGuard.from_system(full)  # raises UnstableSystem unless full is stable
+    guarded = _GuardedSteps(guard, tol, hankel_power)
     size = float(np.linalg.norm(full.A))  # sets the stability margin of kept roots
     r = fraction.D.degree
     # D = D_c Q with Q(s) = (sI - R_k) ... (sI - R_1) the factors divided out so
     # far, so G - G_c = (N - N_c Q) inv(D): an output matrix on the full form
     divided = MatrixPolynomial._from_stack(np.eye(fraction.m)[None])
     current = fraction
-    eliminated = []
     iterations = 0
     neglected_norm = 0.0
-    re_val = 0.0
-    h2_abs = 0.0
 
     while current.D.degree > 1:
         iterations += 1
@@ -190,7 +218,7 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
             except (DependentVectors, DefectiveRoot):
                 continue
         if solvent is None:
-            if not eliminated:
+            if not guarded.eliminated:
                 raise NoEliminableSolvent(
                     "no conjugate-closed latent root group spans a solvent"
                 )
@@ -213,28 +241,14 @@ def reduce_latent(fraction, tol=None, hankel_power=4):
         )
         trial = mul_linear(divided, solvent.matrix, "left")
         c_err = full.C - controller_output(poly_mul(candidate.N, trial), r)
-        re_c = guard.relative_error(c_err, hankel_power)
-        if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
+        if not guarded.attempt(c_err, f"solvent eigenvalues [{_fmt_values(solvent.eigenvalues)}]"):
             break  # roll back this elimination
         current = candidate
         divided = trial
-        re_val = re_c
-        h2_abs = guard.h2_error(c_err)
         neglected_norm += rem_norm
-        eliminated.append(f"solvent eigenvalues [{_fmt_values(solvent.eigenvalues)}]")
 
-    report = ReductionReport(
-        method="latent",
-        original_order=fraction.order,
-        reduced_order=current.order,
-        eliminated=eliminated,
-        re_value=re_val,
-        h2_error=h2_abs,
-        neglected_numerator_norm=neglected_norm,
-        threshold=tol.re_threshold,
-        iterations=iterations,
-    )
-    return current, report
+    return current, guarded.report("latent", fraction.order, current.order,
+                                   iterations, neglected_norm)
 
 
 # -- method 2: dominant pole guided block elimination -------------------------
@@ -395,8 +409,7 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     neglected so far, the modal truncation of all the modes dropped; a step
     that breaches the threshold is rolled back and ends elimination at that
     granularity.  An eigenvalue trim that would drop one member of a
-    conjugate pair of modes without the other is passed over.  The reported
-    H2 error is the guard's for the last accepted step.
+    conjugate pair of modes without the other is passed over.
 
     The reduced model is the modal realization of the modes kept (a real
     state per real mode, a 2x2 rotation block per conjugate pair), so it is
@@ -441,68 +454,44 @@ def reduce_dominant(sys, tol=None, k=None, continue_blocks=True, trim_eigen=Fals
     by_dominance = sorted(range(len(spectra)), key=lambda j: dom[j])
     # with no block left unclaimed no guard runs
     guard = ErrorGuard.from_modes(modes) if len(claimed) < len(spectra) else None
-    eliminated = []
+    guarded = _GuardedSteps(guard, tol, hankel_power)
     dropped = np.zeros(n, dtype=bool)
-    re_val = 0.0
-    h2_abs = 0.0
-    iterations = 0
-    breached = False
 
-    def attempt(step, label):
-        # drop the modes in the mask `step` on top of those dropped so far
-        nonlocal dropped, re_val, h2_abs, iterations, breached
-        iterations += 1
-        trial = dropped | step
-        c_err = modes.outputs * trial
-        re_c = guard.relative_error(c_err, hankel_power)
-        if re_c > tol.re_threshold or not _h2_gate(guard, c_err, tol):
-            breached = True
-            return False
-        dropped = trial
-        re_val = re_c
-        h2_abs = guard.h2_error(c_err)
-        eliminated.append(label)
+    def run(steps):
+        # try (mask, label) steps in order, each dropping its modes on top of
+        # those dropped so far; stop at the first breach
+        for step, label in steps:
+            trial = dropped | step
+            if not guarded.attempt(modes.outputs * trial, label):
+                return False
+            dropped[:] = trial
         return True
 
-    def discard_blocks(indices, reason):
-        for i in indices:
-            if not attempt(owner == i, f"block {i} [{_fmt_values(spectra[i])}] ({reason})"):
-                return
+    def blocks(indices, reason):
+        return ((owner == i, f"block {i} [{_fmt_values(spectra[i])}] ({reason})")
+                for i in indices)
 
-    discard_blocks([i for i in by_dominance if i not in claimed], "no dominant pole")
-    if continue_blocks and eliminated and not breached:
-        discard_blocks([i for i in by_dominance if i in claimed], "least dominant")
+    if (run(blocks([i for i in by_dominance if i not in claimed], "no dominant pole"))
+            and continue_blocks and guarded.eliminated):
+        run(blocks([i for i in by_dominance if i in claimed], "least dominant"))
 
     kept_blocks = np.unique(owner[~dropped]).tolist()
-    if trim_eigen and eliminated and kept_blocks:
+    if trim_eigen and guarded.eliminated and kept_blocks:
         last = min(kept_blocks, key=lambda j: dom[j])
         own = np.flatnonzero(owner == last)
         units, _ = _root_partition(modes.values[own],
                                    not np.iscomplexobj(cset.solvents[last].matrix))
         partner = _conjugate_partners(modes.values) if real_system else {}
-        steps = []  # (modes of the unit, its values) per unit of block `last`
+        steps = []  # (modes of the unit, its label) per unit of block `last`
         for unit in units:
             step = np.zeros(n, dtype=bool)
             step[own[[k for _, idx in unit for k in idx]]] = True
             drop_vals = [z for z, idx in unit for _ in idx]
             # a unit whose modes split a conjugate pair leaves no real model
             if not any(step[i] != step[j] for i, j in partner.items()):
-                steps.append((step, drop_vals))
-        for step, drop_vals in sorted(steps, key=lambda st: float(np.max(dominance[st[0]]))):
-            if not attempt(step, f"eigenvalues [{_fmt_values(drop_vals)}] of block {last}"):
-                break
+                steps.append((step, f"eigenvalues [{_fmt_values(drop_vals)}] of block {last}"))
+        run(sorted(steps, key=lambda st: float(np.max(dominance[st[0]]))))
 
     kept = _assemble_modal_block(modes, np.flatnonzero(~dropped), real_system)
     reduced = StateSpace(kept.a, kept.b, kept.c, css.D)
-    report = ReductionReport(
-        method="dominant",
-        original_order=css.n,
-        reduced_order=reduced.n,
-        eliminated=eliminated,
-        re_value=re_val,
-        h2_error=h2_abs,
-        neglected_numerator_norm=0.0,
-        threshold=tol.re_threshold,
-        iterations=iterations,
-    )
-    return reduced, report
+    return reduced, guarded.report("dominant", css.n, reduced.n, len(guarded.records))

@@ -790,23 +790,35 @@ def test_reduce_latent_validates_no_intermediate_polynomial(count_calls):
 
 def test_h2_gate_reads_the_full_norm_from_the_guard(count_calls):
     # the relative H2 gate divides by the full system's H2 norm, which the
-    # guard holds: setting the gate adds no H2 norm and no sign iteration
+    # guard holds, and reads the H2 error each attempt measures anyway:
+    # setting the gate adds no H2 norm, no sign iteration and no H2 error, and
+    # a gate that passes every step leaves the report as it is, to the bit
     ss = load_power_network(fixed=True)
     norms = count_calls("h2_norm", metrics, reduce)
     steps = count_calls("_sign_steps", metrics)
+    errors = count_calls("h2_error", metrics.ErrorGuard)
+    runs = {
+        "trim": lambda h2: reduce_dominant(ss, Tolerances(h2_threshold=h2), trim_eigen=True),
+        "latent": lambda h2: reduce_latent(_two_step_fraction(),
+                                           Tolerances(re_threshold=0.05, h2_threshold=h2)),
+    }
 
-    def run(h2_threshold):
-        norms.clear()
-        steps.clear()
-        _, rep = reduce_dominant(ss, Tolerances(h2_threshold=h2_threshold), trim_eigen=True)
-        return rep, len(norms), len(steps)
+    def run(name, h2_threshold):
+        for calls in (norms, steps, errors):
+            calls.clear()
+        _, rep = runs[name](h2_threshold)
+        return rep, len(norms), len(steps), len(errors)
 
-    gated, gated_norms, gated_steps = run(0.5)
-    free, _, free_steps = run(None)
-    assert gated.iterations == 4  # two block attempts, two eigenvalue trims
-    assert gated.eliminated == free.eliminated
-    assert gated_norms == 0
-    assert gated_steps == free_steps
+    for name, iterations in (("trim", 4), ("latent", 2)):
+        gated, gated_norms, gated_steps, gated_errors = run(name, 0.5)
+        free, _, free_steps, free_errors = run(name, None)
+        # trim: two block attempts, two eigenvalue trims; latent: two steps
+        assert gated.iterations == iterations
+        assert gated == free  # every field, h2_error to the bit
+        assert gated_norms == 0
+        assert gated_steps == free_steps
+        # one H2 error sets the guard's norm, one per attempt whose RE passed
+        assert gated_errors == free_errors == 3
 
 
 def test_h2_gate_measures_each_candidate():

@@ -71,3 +71,69 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _private_callables(tree):
+    """(function, offset) for each module-level private function and each
+    method of a module-level class that is private or belongs to a private
+    class; offset is 1 for a method that is called without its self."""
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS[:2]) and node.name.startswith("_"):
+            yield node, 0
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if not isinstance(method, _DEFINITIONS[:2]) or method.name.endswith("__"):
+                    continue
+                if node.name.startswith("_") or method.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in method.decorator_list)
+                    yield method, 0 if static else 1
+
+
+def _defaulted(function, offset):
+    """(position or None, name) of each parameter with a default, the
+    position counted among the arguments a call passes."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i - offset, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call, position, name):
+    """Whether call may pass the parameter: by keyword or position, or
+    through a ** or * argument."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == position:
+            return True
+    return False
+
+
+def test_every_private_parameter_is_passed():
+    # a defaulted parameter of a private function or method that no call in
+    # the package passes, by keyword or by position, is a knob with one value
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    checked, unused = 0, []
+    for path, tree in zip(sorted(PACKAGE.glob("*.py")), trees):
+        for function, offset in _private_callables(tree):
+            for position, param in _defaulted(function, offset):
+                checked += 1
+                if not any(_passes(call, position, param)
+                           for call in calls.get(function.name, [])):
+                    unused.append(f"{path.name}:{function.name}({param})")
+    assert checked, "no defaulted private parameters found: wrong package path?"
+    assert unused == []
