@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from .dompoles import dominant_poles
-from .errors import BlockredError, DimensionMismatch, ProbeAtPole
-from .metrics import as_state_space, h2_norm, hankel_singular_values
+from .errors import BlockredError, DimensionMismatch
+from .metrics import _response, as_state_space, h2_norm, hankel_singular_values
 from .reduce import Tolerances, _as_fraction, _fmt_value, reduce_dominant, reduce_latent
 from .solvents import compute_complete_set
 from .sysdoc import build_system, load_document, save_document
@@ -56,7 +56,7 @@ def _load(path):
     return doc, sys_obj
 
 
-def _shape_line(doc, sys_obj):
+def _shape_line(sys_obj):
     ss = as_state_space(sys_obj)
     return f"n={ss.n} m={ss.m} p={ss.p}, " + (
         "stable" if ss.is_stable() else "unstable"
@@ -68,7 +68,7 @@ def _shape_line(doc, sys_obj):
 def cmd_validate(args):
     doc, sys_obj = _load(args.path)
     print(f"type: {doc.kind}" + (f"  name: {doc.name}" if doc.name else ""))
-    print(_shape_line(doc, sys_obj))
+    print(_shape_line(sys_obj))
     ss = as_state_space(sys_obj)
     print("poles:")
     for z in ss.poles():
@@ -92,7 +92,7 @@ def cmd_analyze(args):
         raise DimensionMismatch(f"--k must be at least 1, got {args.k}")
     doc, sys_obj = _load(args.path)
     print(f"type: {doc.kind}" + (f"  name: {doc.name}" if doc.name else ""))
-    print(_shape_line(doc, sys_obj))
+    print(_shape_line(sys_obj))
     ss = as_state_space(sys_obj)
     tol = _tolerances(args)
 
@@ -213,20 +213,9 @@ def cmd_reduce(args):
 
 # -- bode ---------------------------------------------------------------------
 
-def _bode_row(sys_obj, w, eps_sing):
-    try:
-        g = sys_obj.transfer(1j * w, eps_sing=eps_sing)
-    except ProbeAtPole:
-        return None
-    return g
-
-
 def cmd_bode(args):
-    systems = []
-    for path in [args.path] + ([args.path2] if args.path2 else []):
-        _, sys_obj = _load(path)
-        systems.append(sys_obj)
-    dims = {(as_state_space(s).p, as_state_space(s).m) for s in systems}
+    systems = [_load(path)[1] for path in [args.path] + ([args.path2] if args.path2 else [])]
+    dims = {(s.p, s.m) for s in systems}
     if len(dims) != 1:
         raise DimensionMismatch(
             f"systems have different transfer shapes: {sorted(dims)}"
@@ -234,38 +223,32 @@ def cmd_bode(args):
     p, m = dims.pop()
     if args.points < 1:
         raise DimensionMismatch("--points must be at least 1")
-    if not (0.0 < args.wmin <= args.wmax):
-        raise DimensionMismatch("need 0 < wmin <= wmax")
+    if not (0.0 < args.wmin <= args.wmax < np.inf):
+        raise DimensionMismatch("need 0 < wmin <= wmax < inf")
     omega = np.geomspace(args.wmin, args.wmax, args.points)
 
+    tags = [""] if len(systems) == 1 else ["_1", "_2"]  # the system of a column
     header = ["omega_rad_s"]
     for i in range(1, p + 1):
         for j in range(1, m + 1):
-            if len(systems) == 1:
-                header += [f"mag_db_{i}{j}", f"phase_deg_{i}{j}"]
-            else:
-                for k in range(1, len(systems) + 1):
-                    header += [f"mag_db_{i}{j}_{k}", f"phase_deg_{i}{j}_{k}"]
+            for t in tags:
+                header += [f"mag_db_{i}{j}{t}", f"phase_deg_{i}{j}{t}"]
 
     eps_sing = _tolerances(args).eps_sing
+    responses = [_response(s, omega, eps_sing) for s in systems]
+    with np.errstate(divide="ignore"):
+        mag_db = [20.0 * np.log10(np.abs(G)) for G in responses]
+    phase = [np.degrees(np.angle(G)) for G in responses]
+    missing = [np.isnan(G).any(axis=(1, 2)) for G in responses]
     rows = []
-    responses = []  # per grid point, per system: matrix or None
-    for w in omega:
-        per_sys = [_bode_row(s, float(w), eps_sing) for s in systems]
-        responses.append(per_sys)
+    for k, w in enumerate(omega):
         cells = [_fmt(w)]
         for i in range(p):
             for j in range(m):
-                for g in per_sys:
-                    if g is None:
-                        cells += ["", ""]
-                    else:
-                        mag = float(np.abs(g[i, j]))
-                        mag_db = 20.0 * np.log10(mag) if mag > 0.0 else -np.inf
-                        phase = float(np.degrees(np.angle(g[i, j])))
-                        cells += [_fmt(mag_db), _fmt(phase)]
+                for db, ph, gone in zip(mag_db, phase, missing):
+                    cells += ["", ""] if gone[k] else [_fmt(db[k, i, j]), _fmt(ph[k, i, j])]
         rows.append(",".join(cells))
-        if any(g is None for g in per_sys):
+        if any(gone[k] for gone in missing):
             print(
                 f"warning: response undefined at omega={_fmt(w)} "
                 "(probe at a pole); row left empty",
@@ -281,21 +264,15 @@ def cmd_bode(args):
         sys.stdout.write(text)
 
     if len(systems) == 2:
-        worst = 0.0
-        worst_w = None
-        for w, per_sys in zip(omega, responses):
-            ga, gb = per_sys
-            if ga is None or gb is None:
-                continue
-            with np.errstate(divide="ignore"):
-                da = 20.0 * np.log10(np.maximum(np.abs(ga), 1e-300))
-                db = 20.0 * np.log10(np.maximum(np.abs(gb), 1e-300))
-            delta = float(np.max(np.abs(da - db)))
-            if delta > worst:
-                worst, worst_w = delta, float(w)
-        if worst_w is not None:
+        # -6000 dB = 20 log10(1e-300): a smaller magnitude counts as 1e-300,
+        # so that two zero entries agree
+        da, db = (np.maximum(x, -6000.0) for x in mag_db)
+        delta = np.max(np.abs(da - db), axis=(1, 2), initial=0.0)  # NaN where a row is missing
+        both = np.flatnonzero(~np.isnan(delta))
+        if both.size:
+            k = both[np.argmax(delta[both])]
             print(
-                f"max |delta mag| = {worst:.6g} dB at omega = {worst_w:.6g} rad/s",
+                f"max |delta mag| = {delta[k]:.6g} dB at omega = {omega[k]:.6g} rad/s",
                 file=sys.stderr,
             )
     return 0

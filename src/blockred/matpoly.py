@@ -338,44 +338,3 @@ def mul_linear(Q, X, side="right"):
     out[1:-1] = q[1:] - qx[:-1]
     out[-1] = -qx[-1]
     return MatrixPolynomial._from_stack(out)
-
-
-def right_divmod(N, D):
-    """Right polynomial division N(s) = Q(s) @ D(s) + R(s), deg R < deg D.
-
-    D must be monic and square with block size equal to N's column count.
-    """
-    from .errors import NotMonic
-
-    if not D.is_monic:
-        raise NotMonic("right division requires a monic divisor")
-    m = D.block_size
-    if N.cols != m:
-        raise DimensionMismatch(
-            f"numerator blocks have {N.cols} columns, divisor is {m}x{m}"
-        )
-    r = D.degree
-    if r == 0:
-        return N, MatrixPolynomial([np.zeros((N.rows, m))])
-    dn = N.degree
-    dtype = np.result_type(N.coeffs[0], D.coeffs[0])
-    # ascending storage: work[p] is the coefficient of s**p
-    work = [np.array(N.coeffs[dn - p], dtype=dtype) for p in range(dn + 1)]
-    while len(work) < r:
-        work.append(np.zeros((N.rows, m), dtype=dtype))
-    dasc = [D.coeffs[r - p] for p in range(r + 1)]
-    qcoeffs = {}
-    for p in range(dn, r - 1, -1):
-        T = work[p]
-        qcoeffs[p - r] = T
-        for j in range(r + 1):
-            work[p - r + j] = work[p - r + j] - T @ dasc[j]
-    if qcoeffs:
-        qdeg = max(qcoeffs)
-        Q = MatrixPolynomial(
-            [qcoeffs.get(qdeg - i, np.zeros((N.rows, m), dtype=dtype)) for i in range(qdeg + 1)]
-        )
-    else:
-        Q = MatrixPolynomial([np.zeros((N.rows, m), dtype=dtype)])
-    R = MatrixPolynomial([work[r - 1 - i] for i in range(r)])
-    return Q, R

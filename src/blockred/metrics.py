@@ -35,8 +35,10 @@ from .errors import (
     DimensionMismatch,
     FeedthroughMismatch,
     NonzeroFeedthrough,
+    ProbeAtPole,
     UnstableSystem,
 )
+from .matpoly import DEFAULT_EPS_SING
 from .sysrep import (
     BlockDiagonalRealization,
     RightMFD,
@@ -189,7 +191,9 @@ def _replay(steps, i, j, w, dual):
 def _solve_term(steps, conds, bases, term):
     """The solution of term (i, j, W, dual) from the recorded steps of bases.
 
-    The iteration is not backward stable: its error grows with the
+    The term stands for the Sylvester equation bases[i] X + X bases[j]^H
+    + W = 0, or for a dual term bases[i]^H X + X bases[j] + W = 0.  The
+    iteration is not backward stable: its error grows with the
     condition of the bases.  A solution that involves a base of Frobenius
     condition above REFINE_COND is refined once: the residual is formed in
     extended precision (np.longdouble, 64-bit mantissa where the platform
@@ -206,23 +210,23 @@ def _solve_term(steps, conds, bases, term):
     return x
 
 
-def _sign_solve(bases, terms):
-    """Solve a batch of Sylvester equations with stable coefficients.
-
-    bases lists non-empty square matrices; each term (i, j, W, dual) stands
-    for bases[i] X + X bases[j]^H + W = 0, or for a dual term
-    bases[i]^H X + X bases[j] + W = 0.  The bases run one sign iteration,
-    each inverted once per step, and every term is solved by replaying the
-    steps on W (see _solve_term).  Returns the solutions X in the order of
-    terms.
-    """
-    steps, conds = _sign_steps(bases)
-    return [_solve_term(steps, conds, bases, term) for term in terms]
-
-
 def _gram(x):
     """x x^H."""
     return x @ _ct(x)
+
+
+def _lyapunov(a):
+    """solve(w, dual=False): the Hermitian solution of A X + X A^H + W = 0,
+    or of the dual A^H X + X A + W = 0, for Hermitian W and one stable,
+    non-empty A.  The sign iteration runs on A once, and each W replays its
+    steps (see _solve_term)."""
+    steps, conds = _sign_steps([a])
+
+    def solve(w, dual=False):
+        x = _solve_term(steps, conds, [a], (0, 0, w, dual))
+        return 0.5 * (x + _ct(x))
+
+    return solve
 
 
 def lyapunov_solve(a, q):
@@ -238,8 +242,7 @@ def lyapunov_solve(a, q):
     if a.shape[0] == 0:
         return np.zeros((0, 0))
     _require_stable_values(np.linalg.eigvals(a), float(np.linalg.norm(a)), "a Lyapunov solve")
-    (x,) = _sign_solve([a], [(0, 0, q, False)])
-    return 0.5 * (x + _ct(x))
+    return _lyapunov(a)(q)
 
 
 def gramians(system):
@@ -248,10 +251,8 @@ def gramians(system):
     _require_stable(sys, "gramian computation")
     if sys.n == 0:
         return Gramians(np.zeros((0, 0)), np.zeros((0, 0)))
-    P, Q = _sign_solve(
-        [sys.A], [(0, 0, _gram(sys.B), False), (0, 0, _gram(_ct(sys.C)), True)]
-    )
-    return Gramians(0.5 * (P + _ct(P)), 0.5 * (Q + _ct(Q)))
+    solve = _lyapunov(sys.A)
+    return Gramians(solve(_gram(sys.B)), solve(_gram(_ct(sys.C)), dual=True))
 
 
 def _output_power(c1, x, c2):
@@ -270,7 +271,7 @@ def h2_norm(system):
         )
     if sys.n == 0:
         return 0.0
-    (P,) = _sign_solve([sys.A], [(0, 0, _gram(sys.B), False)])
+    P = _lyapunov(sys.A)(_gram(sys.B))
     return float(np.sqrt(max(_output_power(sys.C, P, sys.C), 0.0)))
 
 
@@ -304,11 +305,11 @@ def h2_error(a, b):
     if sa.n == 0 or sb.n == 0:
         other = sb if sa.n == 0 else sa
         return h2_norm(StateSpace(other.A, other.B, other.C, np.zeros_like(other.D)))
-    Paa, Pab, Pbb = _sign_solve(
-        [sa.A, sb.A],
-        [(0, 0, _gram(sa.B), False), (0, 1, sa.B @ _ct(sb.B), False),
-         (1, 1, _gram(sb.B), False)],
-    )
+    bases = [sa.A, sb.A]
+    steps, conds = _sign_steps(bases)
+    terms = [(0, 0, _gram(sa.B)), (0, 1, sa.B @ _ct(sb.B)), (1, 1, _gram(sb.B))]
+    Paa, Pab, Pbb = [_solve_term(steps, conds, bases, (i, j, w, False))
+                     for i, j, w in terms]
     val = (_output_power(sa.C, Paa, sa.C) - 2.0 * _output_power(sa.C, Pab, sb.C)
            + _output_power(sb.C, Pbb, sb.C))
     return float(np.sqrt(max(val, 0.0)))
@@ -372,13 +373,8 @@ class ErrorGuard:
         hankel_singular_values' to the bit."""
         sys = as_state_space(system)
         _require_stable(sys, "reduction")
-        steps, conds = _sign_steps([sys.A])
-
-        def solve(w, dual):
-            x = _solve_term(steps, conds, [sys.A], (0, 0, w, dual))
-            return 0.5 * (x + _ct(x))
-
-        P = solve(_gram(sys.B), False)
+        solve = _lyapunov(sys.A)
+        P = solve(_gram(sys.B))
         return cls(P, _square_root(P), lambda c: solve(_gram(_ct(c)), True), sys.C)
 
     @classmethod
@@ -432,18 +428,26 @@ def relative_error(full, neglected, hankel_power=4):
     return float(np.sqrt(numer / denom))
 
 
+def _response(system, omega, eps_sing):
+    """The (count, p, m) transfer matrices of system at s = j omega, a row
+    of NaN where the probe sits at a pole (ProbeAtPole)."""
+    G = np.full((len(omega), system.p, system.m), np.nan, dtype=complex)
+    for k, w in enumerate(omega):
+        try:
+            G[k] = system.transfer(1j * w, eps_sing=eps_sing)
+        except ProbeAtPole:
+            pass
+    return G
+
+
 def bode_samples(system, wmin=1e-2, wmax=1e3, count=200):
-    """Frequency response on a log grid: magnitudes and phases in degrees."""
+    """Frequency response on a log grid: magnitudes and phases in degrees,
+    NaN at a grid point that sits on a pole."""
     sys_like = system if hasattr(system, "transfer") else as_state_space(system)
     if count < 2:
         raise ValueError("count must be at least 2")
-    if not (0 < wmin < wmax):
-        raise ValueError("need 0 < wmin < wmax")
+    if not (0 < wmin < wmax < np.inf):
+        raise ValueError("need 0 < wmin < wmax < inf")
     omega = np.geomspace(wmin, wmax, count)
-    mags = []
-    phases = []
-    for w in omega:
-        G = np.asarray(sys_like.transfer(1j * w), dtype=complex)
-        mags.append(np.abs(G))
-        phases.append(np.degrees(np.angle(G)))
-    return BodeTable(omega, np.array(mags), np.array(phases))
+    G = _response(sys_like, omega, DEFAULT_EPS_SING)
+    return BodeTable(omega, np.abs(G), np.degrees(np.angle(G)))

@@ -9,7 +9,8 @@ state_space, right_mfd, block_diagonal), the dimensions ``n``, ``m``, ``p``,
 ``r`` as applicable, and the free-text ``name`` and ``description``.
 
 A matrix block starts with ``matrix NAME ROWS COLS`` followed by ROWS lines
-of COLS decimal numbers each.  Which names are expected depends on the type:
+of COLS decimal numbers each, or by no lines when COLS is 0.  Which names
+are expected depends on the type:
 
 * state_space: A (n x n), B (n x m), C (p x n) and optionally D (p x m)
 * right_mfd: denominator coefficients D0 ... Dr by descending power
@@ -95,7 +96,7 @@ def parse_document(text):
                 raise ParseError(f"matrix {name} appears twice", lineno, 1)
             data = np.zeros((rows, cols))
             filled = 0
-            while filled < rows:
+            while cols and filled < rows:  # a row of no values takes no line
                 if i >= len(lines):
                     raise ParseError(
                         f"file ends inside matrix {name} "

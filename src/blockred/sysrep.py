@@ -28,10 +28,12 @@ from .errors import (
     ProbeAtPole,
     SingularVandermonde,
 )
-from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial, right_divmod
+from .matpoly import DEFAULT_EPS_SING, MatrixPolynomial
 
 
 def _solve_probe(M, rhs, s, eps_sing):
+    if not np.isfinite(s):
+        raise DimensionMismatch(f"probe point {complex(s)} is not finite")
     if cond2(M) >= 1.0 / eps_sing:
         raise ProbeAtPole(f"probe point {complex(s):.6g} is too close to a pole")
     return np.linalg.solve(M, rhs)
@@ -162,13 +164,18 @@ def make_right_mfd(N, D, feedthrough=None):
 
     A non-monic denominator with invertible leading coefficient is normalized
     by a right constant factor (the fraction value is unchanged).  A numerator
-    of degree equal to deg D is split by polynomial division; a constant
-    quotient moves into the feedthrough, anything of higher degree raises
-    ImproperFraction.
+    of degree deg D or higher must have a constant quotient by D: its
+    coefficients above s**deg D must be zero (to 1e-12), else
+    ImproperFraction.  The quotient, the coefficient of s**deg D, moves into
+    the feedthrough.
     """
     if D.degree < 1:
         raise DimensionMismatch("denominator degree must be at least 1")
     m = D.block_size
+    if N.cols != m:
+        raise DimensionMismatch(
+            f"numerator blocks have {N.cols} columns, denominator is {m}x{m}"
+        )
     if not D.is_monic:
         lead = np.asarray(D.coeffs[0])
         if cond2(lead) >= 1.0 / DEFAULT_EPS_SING:
@@ -177,15 +184,16 @@ def make_right_mfd(N, D, feedthrough=None):
         D = MatrixPolynomial._from_stack(realify_each(D.coeffs @ W, 1e-12))
         N = MatrixPolynomial._from_stack(realify_each(N.coeffs @ W, 1e-12))
     E = np.zeros((N.rows, m)) if feedthrough is None else as_matrix(feedthrough, "feedthrough")
-    if N.degree >= D.degree:
-        Q, R = right_divmod(N, D)
-        if Q.degree >= 1 and max(float(np.max(np.abs(c))) for c in Q.coeffs[:-1]) > 1e-12:
+    extra = N.degree - D.degree
+    if extra >= 0:
+        if np.max(np.abs(N.coeffs[:extra]), initial=0.0) > 1e-12:
             raise ImproperFraction(
                 f"numerator degree {N.degree} exceeds denominator degree {D.degree} "
                 "by a non-constant quotient"
             )
-        E = E + Q.coeffs[-1]
-        N = R
+        Q = N.coeffs[extra]  # N = Q D + remainder, D being monic
+        E = E + Q
+        N = MatrixPolynomial._from_stack(N.coeffs[extra + 1:] - Q @ D.coeffs[1:])
     return RightMFD(N.trimmed(1e-14), D, E)
 
 
@@ -310,18 +318,6 @@ def controller_output(N, degree):
     return C
 
 
-def _controller_structure_error(Abar, m, r):
-    """Deviation of a matrix from block companion structure (bottom row free)."""
-    n = r * m
-    err = 0.0
-    for i in range(r - 1):
-        for j in range(r):
-            blk = Abar[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            target = np.eye(m) if j == i + 1 else 0.0
-            err = max(err, float(np.max(np.abs(blk - target))))
-    return err
-
-
 def mfd_from_state_space(sys, eps_sing=DEFAULT_EPS_SING):
     """Right matrix fraction of a block controllable state-space system.
 
@@ -354,7 +350,8 @@ def mfd_from_state_space(sys, eps_sing=DEFAULT_EPS_SING):
     Tinv = np.linalg.inv(T)
     Abar = T @ sys.A @ Tinv
     scale = max(1.0, float(np.max(np.abs(Abar))))
-    serr = _controller_structure_error(Abar, m, r)
+    # deviation from block companion structure, the bottom block row being free
+    serr = np.max(np.abs(Abar[:n - m] - np.eye(n - m, n, m)), initial=0.0)
     if serr > 1e-6 * scale:
         raise NotBlockControllable(
             f"similarity failed to reach block controller form (defect {serr:.3e})"

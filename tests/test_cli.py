@@ -369,6 +369,25 @@ def test_bode_shape_mismatch_exit_2(tmp_path, capsys):
 def test_bode_bad_grid_exit_2(tmp_path, capsys):
     path = write(tmp_path, "first.sys", FIRST_ORDER)
     assert main(["bode", path, "--wmin", "10", "--wmax", "1"]) == 2
+    assert main(["bode", path, "--wmin", "1", "--wmax", "inf"]) == 2
+
+
+def test_bode_same_system_twice_reports_zero_gap(capsys):
+    code = main(["bode", fixture_path(), fixture_path(),
+                 "--wmin", "0.1", "--wmax", "10", "--points", "5"])
+    assert code == 0
+    assert capsys.readouterr().err == "max |delta mag| = 0 dB at omega = 0.1 rad/s\n"
+
+
+def test_reduce_to_no_states_reads_back(tmp_path, capsys):
+    # a threshold above every RE eliminates every block; the document of the
+    # resulting static gain must load again
+    out = str(tmp_path / "static.sys")
+    assert main(["reduce", fixture_path(), "--threshold", "2", "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("order 8 -> 0,")
+    assert main(["validate", out]) == 0
+    assert "n=0 m=2 p=2" in capsys.readouterr().out
+    assert main(["bode", fixture_path(), out, "--points", "5"]) == 0
 
 
 NO_SCIPY_SCRIPT = """

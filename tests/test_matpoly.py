@@ -11,7 +11,6 @@ from blockred.matpoly import (
     MatrixPolynomial,
     mul_linear,
     poly_mul,
-    right_divmod,
 )
 from blockred.sysrep import controller_output
 
@@ -341,13 +340,3 @@ def test_mul_linear_matches_pointwise(rng):
             lin = s * np.eye(2) - X
             want = Q.evaluate(s) @ lin if side == "right" else lin @ Q.evaluate(s)
             assert_allclose(M.evaluate(s), want, rtol=1e-10, atol=1e-10)
-
-
-def test_right_divmod_identity(rng):
-    N = random_monic_poly(rng, 2, 3)
-    D = random_monic_poly(rng, 2, 2)
-    Q, R = right_divmod(N, D)
-    assert R.degree < D.degree
-    for s in probe_points(rng, 6):
-        want = Q.evaluate(s) @ D.evaluate(s) + R.evaluate(s)
-        assert_allclose(N.evaluate(s), want, rtol=1e-9, atol=1e-9)

@@ -380,3 +380,17 @@ def test_bode_rejects_bad_grid(rng):
         bode_samples(ss, wmin=1.0, wmax=0.1)
     with pytest.raises(ValueError):
         bode_samples(ss, count=1)
+
+
+def test_bode_is_nan_at_a_pole():
+    # poles at +-1j; the middle of the three grid points sits on one
+    ss = StateSpace(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2), np.eye(2))
+    table = bode_samples(ss, wmin=0.5, wmax=2.0, count=3)
+    assert np.isnan(table.magnitude[1]).all() and np.isnan(table.phase_deg[1]).all()
+    assert np.isfinite(table.magnitude[[0, 2]]).all()
+
+
+def test_bode_refuses_an_infinite_grid(rng):
+    ss = random_stable_system(rng, 2, 1, 1)
+    with pytest.raises(ValueError, match="wmax < inf"):
+        bode_samples(ss, wmin=1.0, wmax=np.inf)

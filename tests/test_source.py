@@ -137,3 +137,21 @@ def test_every_private_parameter_is_passed():
                     unused.append(f"{path.name}:{function.name}({param})")
     assert checked, "no defaulted private parameters found: wrong package path?"
     assert unused == []
+
+
+def test_every_parameter_is_used():
+    # a parameter that its function or method never reads is left over from
+    # a refactor; self and cls are exempt
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, _DEFINITIONS[:2]):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.name}({name})" for name in params
+                       if name not in read and name not in ("self", "cls")]
+    assert unread == []

@@ -43,6 +43,17 @@ def test_state_space_round_trip(tmp_path, rng):
     assert_allclose(back.D, ss.D)
 
 
+def test_state_space_without_states_round_trip(tmp_path):
+    # C has no columns, so its rows take no lines in the document
+    ss = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)),
+                    np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "gain.sys"
+    save_document(ss, path)
+    back = load_system(path)
+    assert back.n == 0 and back.C.shape == (3, 0)
+    assert_allclose(back.D, ss.D)
+
+
 def test_right_mfd_round_trip(tmp_path, rng):
     D = denominator_from_solvents(separated_matrices(rng, 2, 2))
     N = MatrixPolynomial([rng.standard_normal((3, 2)) for _ in range(2)])

@@ -74,6 +74,19 @@ def test_transfer_at_pole_raises():
         ss.transfer(-1.0)
 
 
+# the probe matrix is formed, with inf * 0 entries, before the check refuses it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("s", [np.inf, complex(0.0, np.inf), np.nan])
+def test_transfer_refuses_non_finite_probe(rng, s):
+    ss = random_stable_system(rng, 4, 2, 2)
+    for system in (ss, random_mfd(rng, 2, 2, 2),
+                   BlockDiagonalRealization(((ss.A, ss.B, ss.C),))):
+        with pytest.raises(DimensionMismatch, match="not finite"):
+            system.transfer(s)
+        with pytest.raises(DimensionMismatch, match="not finite"):
+            transfer_eval(system, s)
+
+
 def test_poles_and_stability():
     ss = StateSpace(np.diag([-1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2)))
     assert not ss.is_stable()
@@ -141,6 +154,24 @@ def test_make_right_mfd_splits_constant_quotient(rng):
     f = make_right_mfd(N, D)
     assert f.N.degree < f.D.degree
     assert_allclose(f.feedthrough, E, rtol=1e-8, atol=1e-10)
+    for s in probe_points(rng, 4):
+        want = N.evaluate(s) @ np.linalg.inv(D.evaluate(s))
+        assert_allclose(f.transfer(s), want, rtol=1e-8, atol=1e-10)
+
+
+def test_make_right_mfd_needs_a_constant_quotient(rng):
+    D = denominator_from_solvents(separated_matrices(rng, 2, 2))
+    low = [rng.standard_normal((2, 2)) for _ in range(3)]
+    with pytest.raises(ImproperFraction, match="non-constant quotient"):
+        make_right_mfd(MatrixPolynomial([np.ones((2, 2))] + low), D)
+    with pytest.raises(DimensionMismatch):
+        make_right_mfd(MatrixPolynomial([np.ones((2, 3))] * 3), D)
+    # zero leading coefficients leave a constant quotient: the coefficient
+    # of s**deg D
+    N = MatrixPolynomial([np.zeros((2, 2))] + low)
+    f = make_right_mfd(N, D)
+    assert f.N.degree < f.D.degree
+    assert_allclose(f.feedthrough, low[0], rtol=0, atol=0)
     for s in probe_points(rng, 4):
         want = N.evaluate(s) @ np.linalg.inv(D.evaluate(s))
         assert_allclose(f.transfer(s), want, rtol=1e-8, atol=1e-10)
